@@ -182,6 +182,24 @@ CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
   return out;
 }
 
+namespace {
+
+// SpGemm's two passes. The symbolic pass computes the sorted output
+// pattern of a * b (independent of values and of any row budget); the
+// numeric pass fills values straight into that exactly-sized pattern,
+// then prunes to max_row_nnz and drops exact zeros.
+struct SpGemmPlan {
+  int32_t a_rows = 0;
+  int32_t a_cols = 0;
+  int32_t b_cols = 0;
+  /// Symbolic structure: indptr/indices of the unpruned product pattern
+  /// (sorted, unique columns per row).
+  std::vector<int64_t> indptr = {0};
+  std::vector<int32_t> indices;
+
+  int64_t nnz() const { return static_cast<int64_t>(indices.size()); }
+};
+
 SpGemmPlan SpGemmSymbolic(const CsrMatrix& a, const CsrMatrix& b,
                           exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.cols() == b.rows());
@@ -350,7 +368,7 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
   // budget keeps the max_row_nnz entries largest by (|value|, then
   // smaller column index): the column tie-break makes the comparator a
   // total order, so the selected set is independent of candidate order —
-  // hence of thread count and of plan reuse.
+  // hence of thread count.
   std::vector<int32_t> indices(static_cast<size_t>(out_nnz));
   std::vector<float> values(static_cast<size_t>(out_nnz));
   ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
@@ -409,14 +427,12 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
   return out;
 }
 
+}  // namespace
+
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
-                 exec::ExecContext* ctx, SpGemmPlanCache* plans) {
+                 exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.cols() == b.rows());
   FREEHGC_TRACE_SPAN("spgemm");
-  if (plans != nullptr) {
-    const SpGemmPlan& plan = plans->Plan(a, b, ctx);
-    return SpGemmNumeric(a, b, plan, max_row_nnz, ctx);
-  }
   const SpGemmPlan plan = SpGemmSymbolic(a, b, ctx);
   return SpGemmNumeric(a, b, plan, max_row_nnz, ctx);
 }

@@ -2,7 +2,7 @@
 // kernel in sparse/ops.h is compared bit-for-bit against the naive
 // single-threaded references in sparse/reference.h, on a seeded corpus
 // of adversarial shapes, across thread counts {1, 2, 4} and — for
-// SpGEMM — with and without symbolic-plan reuse. Exact float equality
+// SpGEMM — row budgets. Exact float equality
 // throughout (EXPECT_EQ on the raw arrays, no tolerances): the
 // optimized kernels' determinism contract promises the references'
 // accumulation orders per output element, so any drift is a bug.
@@ -11,8 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,33 +115,6 @@ std::vector<CorpusEntry> Corpus() {
   return corpus;
 }
 
-/// Test-local SpGemmPlanCache: memoizes one plan per operand pair by
-/// address (sufficient inside a single test body).
-class TestPlanCache : public sparse::SpGemmPlanCache {
- public:
-  const sparse::SpGemmPlan& Plan(const CsrMatrix& a, const CsrMatrix& b,
-                                 exec::ExecContext* ctx) override {
-    const auto key = std::make_pair(&a, &b);
-    auto it = plans_.find(key);
-    if (it == plans_.end()) {
-      it = plans_
-               .emplace(key, std::make_unique<sparse::SpGemmPlan>(
-                                 sparse::SpGemmSymbolic(a, b, ctx)))
-               .first;
-    } else {
-      ++hits_;
-    }
-    return *it->second;
-  }
-  int hits() const { return hits_; }
-
- private:
-  std::map<std::pair<const CsrMatrix*, const CsrMatrix*>,
-           std::unique_ptr<sparse::SpGemmPlan>>
-      plans_;
-  int hits_ = 0;
-};
-
 template <typename T>
 std::vector<T> ToVec(std::span<const T> s) {
   return {s.begin(), s.end()};
@@ -203,7 +174,7 @@ TEST(SparseReferenceTest, NormalizeMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndPlanReuse) {
+TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndBudgets) {
   for (const auto& e : Corpus()) {
     // Square the matrix against its own transpose so every corpus shape
     // yields a composable pair (m x n) * (n x m).
@@ -216,21 +187,9 @@ TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndPlanReuse) {
         const std::string context = e.name +
                                     " budget=" + std::to_string(budget) +
                                     " threads=" + std::to_string(threads);
-        // Plan reuse off: fresh symbolic pass inside SpGemm.
-        const CsrMatrix cold = sparse::SpGemm(e.m, bt, budget, &ex);
-        ExpectValid(cold, context + " cold");
-        ExpectBitIdentical(cold, want, context + " cold");
-        // Plan reuse on: first call populates, second is served the
-        // memoized plan. Both must equal the reference.
-        TestPlanCache plans;
-        const CsrMatrix warm0 =
-            sparse::SpGemm(e.m, bt, budget, &ex, &plans);
-        const CsrMatrix warm1 =
-            sparse::SpGemm(e.m, bt, budget, &ex, &plans);
-        EXPECT_EQ(plans.hits(), 1) << context;
-        ExpectValid(warm1, context + " warm");
-        ExpectBitIdentical(warm0, want, context + " plan-miss");
-        ExpectBitIdentical(warm1, want, context + " plan-hit");
+        const CsrMatrix got = sparse::SpGemm(e.m, bt, budget, &ex);
+        ExpectValid(got, context);
+        ExpectBitIdentical(got, want, context);
       }
     }
   }
@@ -298,31 +257,11 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, SymbolicPlanIsBudgetIndependentSuperset) {
-  const CsrMatrix a = PowerLawSparse(120, 120, 31);
-  const CsrMatrix b = sparse::reference::TransposeRef(a);
-  const sparse::SpGemmPlan plan = sparse::SpGemmSymbolic(a, b);
-  // One plan serves every budget.
-  for (int64_t budget : {int64_t{0}, int64_t{4}, int64_t{32}}) {
-    const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
-    const CsrMatrix got = sparse::SpGemmNumeric(a, b, plan, budget);
-    ExpectBitIdentical(got, want, "budget=" + std::to_string(budget));
-    // The plan's structure contains every surviving output entry.
-    for (int32_t r = 0; r < got.rows(); ++r) {
-      for (int32_t c : got.RowIndices(r)) {
-        const auto row = plan.indices.begin() + plan.indptr[r];
-        const auto row_end = plan.indices.begin() + plan.indptr[r + 1];
-        EXPECT_TRUE(std::binary_search(row, row_end, c));
-      }
-    }
-  }
-}
-
 TEST(SparseReferenceTest, PruningTieBreakKeepsSmallerColumns) {
   // Row 0 of a*b has four entries of equal magnitude 1.0 at columns
   // 0..3. With max_row_nnz = 2 the pinned rule (|value| desc, then
   // smaller column) must keep columns {0, 1} — at every thread count,
-  // with and without a plan, and regardless of sign.
+  // and regardless of sign.
   std::vector<CooEntry> ae, be;
   for (int32_t c = 0; c < 4; ++c) {
     ae.push_back({0, c, 1.0f});
@@ -332,17 +271,12 @@ TEST(SparseReferenceTest, PruningTieBreakKeepsSmallerColumns) {
   const CsrMatrix b = FromCooOrDie(4, 4, std::move(be));
   for (int threads : kThreadCounts) {
     exec::ExecContext ex(threads);
-    TestPlanCache plans;
-    for (sparse::SpGemmPlanCache* p :
-         {static_cast<sparse::SpGemmPlanCache*>(nullptr),
-          static_cast<sparse::SpGemmPlanCache*>(&plans)}) {
-      const CsrMatrix got = sparse::SpGemm(a, b, 2, &ex, p);
-      ASSERT_EQ(got.RowNnz(0), 2);
-      EXPECT_EQ(got.RowIndices(0)[0], 0);
-      EXPECT_EQ(got.RowIndices(0)[1], 1);
-      EXPECT_EQ(got.RowValues(0)[0], 1.0f);
-      EXPECT_EQ(got.RowValues(0)[1], -1.0f);
-    }
+    const CsrMatrix got = sparse::SpGemm(a, b, 2, &ex);
+    ASSERT_EQ(got.RowNnz(0), 2);
+    EXPECT_EQ(got.RowIndices(0)[0], 0);
+    EXPECT_EQ(got.RowIndices(0)[1], 1);
+    EXPECT_EQ(got.RowValues(0)[0], 1.0f);
+    EXPECT_EQ(got.RowValues(0)[1], -1.0f);
   }
 }
 

@@ -103,18 +103,6 @@ TEST(CsrTest, ValidateRejectsNonFiniteValues) {
   EXPECT_TRUE(m.Validate().ok());
 }
 
-TEST(CsrTest, ContentFingerprintSeparatesStructureAndValues) {
-  const CsrMatrix a = FromCooOrDie(2, 2, {{0, 0, 1.0f}, {1, 1, 2.0f}});
-  CsrMatrix same = a;
-  EXPECT_EQ(a.ContentFingerprint(), same.ContentFingerprint());
-  // A value change alone must change the fingerprint (plans are keyed
-  // conservatively by full content, not just the sparsity pattern).
-  same.mutable_values()[0] = 3.0f;
-  EXPECT_NE(a.ContentFingerprint(), same.ContentFingerprint());
-  const CsrMatrix other = FromCooOrDie(2, 2, {{0, 1, 1.0f}, {1, 1, 2.0f}});
-  EXPECT_NE(a.ContentFingerprint(), other.ContentFingerprint());
-}
-
 TEST(CsrTest, BasicAccessors) {
   CsrMatrix m = FromCooOrDie(3, 4, {{0, 1, 2.0f}, {0, 3, 3.0f}, {2, 0, 1.0f}});
   EXPECT_EQ(m.rows(), 3);
