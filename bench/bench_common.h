@@ -15,11 +15,12 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/table.h"
 #include "datasets/generator.h"
-#include "eval/experiment.h"
 #include "exec/exec_context.h"
 #include "hgnn/trainer.h"
 #include "obs/metrics.h"
+#include "pipeline/method.h"
 
 namespace freehgc::bench {
 

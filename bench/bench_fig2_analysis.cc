@@ -20,7 +20,7 @@ int main() {
     const auto ideal = hgnn::WholeGraphBaseline(env->ctx, env->eval_cfg);
     std::printf("%s ideal (whole-graph SeHGNN): %.2f\n", name.c_str(),
                 100.0f * ideal.test_accuracy);
-    eval::TablePrinter table(
+    TablePrinter table(
         {"Evaluator", "r=1.2%", "r=2.4%", "r=4.8%", "r=7.2%"});
     for (auto kind : {hgnn::HgnnKind::kHeteroSGC, hgnn::HgnnKind::kHGT,
                       hgnn::HgnnKind::kHGB, hgnn::HgnnKind::kSeHGNN}) {
@@ -29,10 +29,10 @@ int main() {
       std::vector<std::string> row = {
           std::string("HGC-") + hgnn::HgnnKindName(kind)};
       for (double r : {0.012, 0.024, 0.048, 0.072}) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = r;
-        const auto agg = eval::RunMethodSeeds(
-            env->ctx, eval::MethodKind::kHGCond, run, cfg, {1, 2});
+        const auto agg =
+            pipeline::RunMethodSeeds(env->ctx, "hgcond", run, cfg, {1, 2});
         row.push_back(StrFormat("%.1f", agg.accuracy.mean));
       }
       table.AddRow(std::move(row));
@@ -44,7 +44,7 @@ int main() {
   for (const std::string name : {"freebase", "aminer"}) {
     auto env = MakeEnv(name, /*seed=*/1, /*max_paths=*/12,
                        name == "aminer" ? 0.3 : 1.0);
-    eval::TablePrinter table({"Method", "r=1.2%", "r=2.4%", "r=4.8%",
+    TablePrinter table({"Method", "r=1.2%", "r=2.4%", "r=4.8%",
                               "r=9.6%"});
     for (bool hetero : {false, true}) {
       std::vector<std::string> row = {hetero ? "HGCond" : "GCond"};

@@ -13,9 +13,8 @@ int main() {
       {"mutag", {0.005, 0.010, 0.020}},
       {"am", {0.002, 0.004, 0.008}},
   };
-  const std::vector<eval::MethodKind> methods = {
-      eval::MethodKind::kHerding, eval::MethodKind::kGCond,
-      eval::MethodKind::kHGCond, eval::MethodKind::kFreeHGC};
+  const std::vector<std::string> methods = {"herding", "gcond", "hgcond",
+                                            "freehgc"};
 
   for (const auto& [name, ratios] : configs) {
     auto env = MakeEnv(name);
@@ -25,15 +24,16 @@ int main() {
 
     std::vector<std::string> headers = {"Method"};
     for (double r : ratios) headers.push_back(StrFormat("r=%.1f%%", 100 * r));
-    eval::TablePrinter table(std::move(headers));
-    for (auto m : methods) {
-      std::vector<std::string> row = {eval::MethodName(m)};
+    TablePrinter table(std::move(headers));
+    for (const std::string& m : methods) {
+      std::vector<std::string> row = {
+          pipeline::MethodRegistry::Global().Find(m)->display_name()};
       for (double r : ratios) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = r;
         const auto agg =
-            eval::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
-        row.push_back(agg.oom ? "OOM" : eval::Cell(agg.accuracy));
+            pipeline::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
+        row.push_back(agg.oom ? "OOM" : pipeline::Cell(agg.accuracy));
       }
       table.AddRow(std::move(row));
     }

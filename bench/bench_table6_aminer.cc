@@ -23,21 +23,21 @@ int main() {
   std::vector<std::string> headers = {"Methods"};
   for (double r : ratios) headers.push_back(StrFormat("r=%.2f%%", 100 * r));
   headers.push_back("Whole acc");
-  eval::TablePrinter table(std::move(headers));
+  TablePrinter table(std::move(headers));
 
-  for (auto m : {eval::MethodKind::kHerding, eval::MethodKind::kGCond,
-                 eval::MethodKind::kHGCond, eval::MethodKind::kFreeHGC}) {
-    std::vector<std::string> row = {eval::MethodName(m)};
+  for (const std::string m : {"herding", "gcond", "hgcond", "freehgc"}) {
+    std::vector<std::string> row = {
+        pipeline::MethodRegistry::Global().Find(m)->display_name()};
     for (double r : ratios) {
-      eval::RunOptions run;
+      pipeline::RunSpec run;
       run.ratio = r;
-      if (m == eval::MethodKind::kGCond) {
+      if (m == "gcond") {
         run.gm.memory_budget_bytes = 24ULL << 30;  // 24GB TITAN RTX
         run.gm.memory_scale = memory_scale;
       }
       const auto agg =
-          eval::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
-      row.push_back(agg.oom ? "OOM" : eval::Cell(agg.accuracy));
+          pipeline::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
+      row.push_back(agg.oom ? "OOM" : pipeline::Cell(agg.accuracy));
     }
     row.push_back(StrFormat("%.2f", 100.0f * whole.test_accuracy));
     table.AddRow(std::move(row));

@@ -49,7 +49,7 @@ int main() {
       {"acm", 0.024},  {"dblp", 0.024},   {"imdb", 0.024},
       {"freebase", 0.024}, {"aminer", 0.002},
   };
-  eval::TablePrinter table({"Dataset", "Variant", "Accuracy", "Storage",
+  TablePrinter table({"Dataset", "Variant", "Accuracy", "Storage",
                             "TH", "TS"});
   for (const auto& [name, ratio] : configs) {
     auto env = MakeEnv(name);

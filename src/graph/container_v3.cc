@@ -7,10 +7,12 @@
 //   [table_offset, EOF)    section table: section_count SectionEntry records
 //
 // The per-section machinery (page alignment, CRC-32, trailing table,
-// tmp+fsync+rename publish) lives in graph/section_io.{h,cc}, shared with
-// the artifact spill files; this file layers the graph-specific pieces on
-// top: the META section describing types/relations/labels, the mapping of
-// sections onto HeteroGraph storage, and zero-copy view construction.
+// tmp+fsync+rename publish or an in-memory buffer) lives in
+// graph/section_io.{h,cc}, shared with the artifact spill files; this
+// file layers the graph-specific pieces on top: the META section
+// describing types/relations/labels, the mapping of sections onto
+// HeteroGraph storage, and zero-copy view construction. The same bytes
+// are the file on disk and the serialized graph on the wire.
 // Every array payload (CSR indptr/indices/values, feature matrices,
 // labels, splits) is its own section, page-aligned and CRC-32 protected,
 // which is what lets MapHeteroGraph hand out zero-copy views: a mapped
@@ -181,6 +183,17 @@ Result<HeteroGraphV3Writer> HeteroGraphV3Writer::Create(
   HeteroGraphV3Writer w;
   w.impl_ = new Impl(std::move(sw));
   return w;
+}
+
+HeteroGraphV3Writer HeteroGraphV3Writer::CreateInMemory() {
+  HeteroGraphV3Writer w;
+  w.impl_ = new Impl(
+      SectionWriter::CreateInMemory(section_io::GraphContainerFormat()));
+  return w;
+}
+
+std::string HeteroGraphV3Writer::TakeBytes() {
+  return impl_ == nullptr ? std::string() : impl_->writer.TakeBytes();
 }
 
 HeteroGraphV3Writer::HeteroGraphV3Writer(HeteroGraphV3Writer&& other) noexcept
@@ -391,11 +404,12 @@ Result<V3WriteSummary> HeteroGraphV3Writer::Finish() {
   return summary;
 }
 
-Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
-                                         const std::string& path) {
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  FREEHGC_ASSIGN_OR_RETURN(HeteroGraphV3Writer w,
-                           HeteroGraphV3Writer::Create(path));
+namespace {
+
+/// The one graph walk behind both sinks, so SaveHeteroGraphV3's file and
+/// SerializeHeteroGraph's buffer hold the same bytes.
+Result<V3WriteSummary> WriteGraph(const HeteroGraph& g,
+                                  HeteroGraphV3Writer& w) {
   for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
     FREEHGC_RETURN_IF_ERROR(w.AddNodeType(g.TypeName(t), g.NodeCount(t)));
   }
@@ -417,6 +431,23 @@ Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
   }
   FREEHGC_RETURN_IF_ERROR(w.SetContentFingerprint(g.ContentFingerprint()));
   return w.Finish();
+}
+
+}  // namespace
+
+Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
+                                         const std::string& path) {
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  FREEHGC_ASSIGN_OR_RETURN(HeteroGraphV3Writer w,
+                           HeteroGraphV3Writer::Create(path));
+  return WriteGraph(g, w);
+}
+
+Result<std::string> SerializeHeteroGraph(const HeteroGraph& g) {
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  HeteroGraphV3Writer w = HeteroGraphV3Writer::CreateInMemory();
+  FREEHGC_RETURN_IF_ERROR(WriteGraph(g, w).status());
+  return w.TakeBytes();
 }
 
 // --- Reader ---------------------------------------------------------------

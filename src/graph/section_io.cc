@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -50,7 +51,9 @@ struct SectionWriter::Impl {
   Format format;
   std::string final_path;
   std::string tmp_path;
-  FilePtr file;
+  FilePtr file;         // file sink; null for the in-memory sink
+  bool in_memory = false;
+  std::string memory;   // in-memory sink
   uint64_t offset = 0;  // bytes written so far
   std::vector<SectionEntry> sections;
   bool have_fingerprint = false;
@@ -66,10 +69,36 @@ struct SectionWriter::Impl {
   uint64_t cur_off = 0;
 
   Status WriteRaw(const void* data, size_t n) {
-    if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
+    if (in_memory) {
+      memory.append(static_cast<const char*>(data), n);
+    } else if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
       return Status::Internal("short write to " + tmp_path);
     }
     offset += n;
+    return Status::OK();
+  }
+
+  /// Puts the finished header page in place. The file sink then flushes
+  /// to stable storage and atomically renames the tmp file over the
+  /// target.
+  Status Publish(const FileHeader& h) {
+    if (in_memory) {
+      std::memcpy(memory.data(), &h, sizeof(h));
+      return Status::OK();
+    }
+    char page[kHeaderBytes] = {};
+    std::memcpy(page, &h, sizeof(h));
+    if (std::fseek(file.get(), 0, SEEK_SET) != 0 ||
+        std::fwrite(page, 1, sizeof(page), file.get()) != sizeof(page) ||
+        std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
+      return Status::Internal("cannot finalize " + tmp_path);
+    }
+    file.reset();
+    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+      std::remove(tmp_path.c_str());
+      return Status::Internal("cannot rename " + tmp_path + " to " +
+                              final_path);
+    }
     return Status::OK();
   }
 
@@ -82,7 +111,7 @@ struct SectionWriter::Impl {
   }
 
   Status CheckOpen() const {
-    if (!file) {
+    if (!in_memory && !file) {
       return Status::FailedPrecondition(
           StrFormat("%s writer is not open", format.label));
     }
@@ -110,6 +139,17 @@ Result<SectionWriter> SectionWriter::Create(const std::string& path,
   FREEHGC_RETURN_IF_ERROR(impl->WriteRaw(zeros, sizeof(zeros)));
   SectionWriter w;
   w.impl_ = impl.release();
+  return w;
+}
+
+SectionWriter SectionWriter::CreateInMemory(const Format& format) {
+  SectionWriter w;
+  w.impl_ = new Impl;
+  w.impl_->format = format;
+  w.impl_->in_memory = true;
+  // Reserve the header page; the real header is patched in on Finish.
+  w.impl_->memory.assign(kHeaderBytes, '\0');
+  w.impl_->offset = kHeaderBytes;
   return w;
 }
 
@@ -221,29 +261,58 @@ Result<uint64_t> SectionWriter::Finish() {
   FREEHGC_RETURN_IF_ERROR(impl_->WriteRaw(table.data(), table.size()));
   h.file_size = impl_->offset;
   h.header_crc = Crc32(&h, offsetof(FileHeader, header_crc));
-
-  char page[kHeaderBytes] = {};
-  std::memcpy(page, &h, sizeof(h));
-  if (std::fseek(impl_->file.get(), 0, SEEK_SET) != 0 ||
-      std::fwrite(page, 1, sizeof(page), impl_->file.get()) !=
-          sizeof(page) ||
-      std::fflush(impl_->file.get()) != 0 ||
-      ::fsync(::fileno(impl_->file.get())) != 0) {
-    return Status::Internal("cannot finalize " + impl_->tmp_path);
-  }
-  impl_->file.reset();
-  if (std::rename(impl_->tmp_path.c_str(), impl_->final_path.c_str()) != 0) {
-    std::remove(impl_->tmp_path.c_str());
-    return Status::Internal("cannot rename " + impl_->tmp_path + " to " +
-                            impl_->final_path);
-  }
+  FREEHGC_RETURN_IF_ERROR(impl_->Publish(h));
   impl_->finished = true;
   return h.file_size;
+}
+
+std::string SectionWriter::TakeBytes() {
+  if (impl_ == nullptr || !impl_->finished) return {};
+  return std::move(impl_->memory);
 }
 
 // --- View -----------------------------------------------------------------
 
 namespace {
+
+bool AllZero(const uint8_t* p, uint64_t n) {
+  static const uint8_t zeros[kAlign] = {};
+  while (n > 0) {
+    const size_t chunk = static_cast<size_t>(n < kAlign ? n : kAlign);
+    if (std::memcmp(p, zeros, chunk) != 0) return false;
+    p += chunk;
+    n -= chunk;
+  }
+  return true;
+}
+
+/// The writer zero-fills the header page past FileHeader and every gap
+/// between sections. Requiring those bytes to be zero leaves no byte of a
+/// file unchecked: the rest is covered by the header, table or section
+/// CRCs.
+Status CheckPaddingIsZero(const uint8_t* base, const FileHeader& h,
+                          std::vector<SectionEntry> sections,
+                          const char* label) {
+  std::sort(sections.begin(), sections.end(),
+            [](const SectionEntry& a, const SectionEntry& b) {
+              return a.offset < b.offset;
+            });
+  bool zero = AllZero(base + sizeof(FileHeader),
+                      kHeaderBytes - sizeof(FileHeader));
+  uint64_t covered = kHeaderBytes;  // end of the payloads seen so far
+  for (const SectionEntry& s : sections) {
+    if (s.offset > covered) {
+      zero = zero && AllZero(base + covered, s.offset - covered);
+    }
+    covered = std::max(covered, s.offset + s.size);
+  }
+  zero = zero && AllZero(base + covered, h.table_offset - covered);
+  if (!zero) {
+    return Status::InvalidArgument(
+        StrFormat("%s container padding is not zero", label));
+  }
+  return Status::OK();
+}
 
 /// Validates header + section table structure (magics, CRCs, alignment,
 /// bounds). Section payload CRCs are NOT verified here; callers decide
@@ -314,7 +383,7 @@ Status ParseInto(const uint8_t* base, size_t size, const Format& format,
           "%s duplicate section %s[%u]", label, KindName(s.kind), s.index));
     }
   }
-  return Status::OK();
+  return CheckPaddingIsZero(base, h, *sections, label);
 }
 
 }  // namespace

@@ -108,15 +108,18 @@ Format SpillFormat();
 inline constexpr uint32_t kSpillMagic = 0x4c505346;  // "FSPL"
 inline constexpr uint32_t kSpillVersion = 1;
 
-/// Streaming writer for section files. Sections are appended to a ".tmp"
+/// Streaming writer for section files, over one of two sinks that
+/// produce the same bytes. The file sink appends sections to a ".tmp"
 /// sibling; Finish writes the table + header, fsyncs and atomically
 /// renames into place, so a killed writer never leaves a torn file under
-/// the target name. Destroying an unfinished writer deletes the temp
-/// file.
+/// the target name. Destroying an unfinished file writer deletes the temp
+/// file. The in-memory sink builds the container in a buffer (no tmp
+/// file, fsync or rename) that TakeBytes hands out after Finish.
 class SectionWriter {
  public:
   static Result<SectionWriter> Create(const std::string& path,
                                       const Format& format);
+  static SectionWriter CreateInMemory(const Format& format);
 
   SectionWriter(SectionWriter&& other) noexcept;
   SectionWriter& operator=(SectionWriter&& other) noexcept;
@@ -147,9 +150,13 @@ class SectionWriter {
   /// OK while the writer is open and unfinished.
   Status CheckOpen() const;
 
-  /// Writes table + header, fsyncs, renames into place. Returns the
-  /// final file size in bytes.
+  /// Writes table + header; the file sink then fsyncs and renames into
+  /// place. Returns the final container size in bytes.
   Result<uint64_t> Finish();
+
+  /// Moves out the finished container of an in-memory writer (empty for
+  /// the file sink or before Finish).
+  std::string TakeBytes();
 
   /// Deletes the temporary file without publishing anything.
   void Abandon();
@@ -163,9 +170,10 @@ class SectionWriter {
 /// A parsed, validated section file: header + section table over either a
 /// held mapping (Map) or a caller-owned byte range (Parse). Structural
 /// validation (magics, header/table CRCs, alignment, bounds, duplicate
-/// detection) happens at construction; payload CRCs are verified
-/// separately so callers choose between failing (load) and reporting
-/// (inspect).
+/// detection, all-zero padding in the header page and between sections)
+/// happens at construction; payload CRCs are verified separately so
+/// callers choose between failing (load) and reporting (inspect). With
+/// both, every byte of the file is checked.
 class SectionView {
  public:
   /// Maps `path` and validates its structure. The mapping is owned by

@@ -1,12 +1,8 @@
 #include "graph/serialize.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <span>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -25,39 +21,11 @@ using serialize_internal::kVersionV2;
 using serialize_internal::kVersionV3;
 using serialize_internal::ReadPod;
 using serialize_internal::ReadString;
-using serialize_internal::WriteBytes;
-using serialize_internal::WritePod;
-using serialize_internal::WriteString;
 
-// Serialization targets a std::string (infallible appends); parsing reads
-// from an in-memory view with bounds checks, which is what lets the
-// version-2 container verify size and checksum before any graph state is
-// built (and lets the serve layer parse uploads without touching disk).
-
-template <typename T>
-void WriteSpan(std::string& out, std::span<const T> v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  WriteBytes(out, v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-void WriteVec(std::string& out, const std::vector<T>& v) {
-  WriteSpan(out, std::span<const T>(v));
-}
-
-void WriteCsr(std::string& out, const CsrMatrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteSpan(out, m.indptr());
-  WriteSpan(out, m.indices());
-  WriteSpan(out, m.values());
-}
-
-void WriteMatrix(std::string& out, const Matrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteBytes(out, m.data(), static_cast<size_t>(m.size()) * sizeof(float));
-}
+// The v1/v2 body reader, kept for containers already on disk (nothing
+// writes these formats any more). It parses from an in-memory view with
+// bounds checks, so the version-2 size and checksum are verified before
+// any graph state is built.
 
 template <typename T>
 bool ReadVec(ByteReader& r, std::vector<T>* v) {
@@ -91,40 +59,6 @@ Result<Matrix> ReadMatrix(ByteReader& r) {
     return Status::Internal("truncated matrix body");
   }
   return m;
-}
-
-/// Serializes the version-independent body (types, relations, features,
-/// labels, splits).
-void WriteBody(std::string& out, const HeteroGraph& g) {
-  const int32_t num_types = g.NumNodeTypes();
-  WritePod(out, num_types);
-  for (TypeId t = 0; t < num_types; ++t) {
-    WriteString(out, g.TypeName(t));
-    WritePod(out, g.NodeCount(t));
-  }
-  const int32_t num_rel = g.NumRelations();
-  WritePod(out, num_rel);
-  for (RelationId r = 0; r < num_rel; ++r) {
-    const Relation& rel = g.relation(r);
-    WriteString(out, rel.name);
-    WritePod(out, rel.src_type);
-    WritePod(out, rel.dst_type);
-    WriteCsr(out, rel.adj);
-  }
-  for (TypeId t = 0; t < num_types; ++t) {
-    const uint8_t has = g.HasFeatures(t) ? 1 : 0;
-    WritePod(out, has);
-    if (has) WriteMatrix(out, g.Features(t));
-  }
-  const int32_t target = g.target_type();
-  WritePod(out, target);
-  if (target >= 0) {
-    WritePod(out, g.num_classes());
-    WriteVec(out, g.labels());
-    WriteVec(out, g.train_index());
-    WriteVec(out, g.val_index());
-    WriteVec(out, g.test_index());
-  }
 }
 
 /// Parses the body (everything past the header fields).
@@ -185,23 +119,6 @@ Result<HeteroGraph> ReadBody(ByteReader& r) {
 
 }  // namespace
 
-Result<std::string> SerializeHeteroGraph(const HeteroGraph& g) {
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  std::string body;
-  WriteBody(body, g);
-  const uint64_t size = body.size();
-  const uint32_t crc = Crc32(body.data(), body.size());
-  std::string out;
-  out.reserve(sizeof(kMagic) + sizeof(kVersionV2) + sizeof(size) +
-              sizeof(crc) + body.size());
-  WritePod(out, kMagic);
-  WritePod(out, kVersionV2);
-  WritePod(out, size);
-  WritePod(out, crc);
-  out.append(body);
-  return out;
-}
-
 Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
   ByteReader r(bytes);
   uint32_t magic = 0, version = 0;
@@ -241,36 +158,6 @@ Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
   // Version 1 has no size/checksum: the body parser's bounds checks are
   // the only truncation defense (kept for old files).
   return ReadBody(r);
-}
-
-namespace {
-
-/// Writes `bytes` to a ".tmp" sibling of `path`, flushes it to stable
-/// storage and atomically renames it into place, so a crash mid-write can
-/// never leave a torn file under the target name.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  FilePtr f(std::fopen(tmp.c_str(), "wb"));
-  if (!f) return Status::InvalidArgument("cannot open for write: " + tmp);
-  if (std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
-      std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0) {
-    f.reset();
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  f.reset();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SaveHeteroGraph(const HeteroGraph& g, const std::string& path) {
-  FREEHGC_ASSIGN_OR_RETURN(std::string bytes, SerializeHeteroGraph(g));
-  return WriteFileAtomic(path, bytes);
 }
 
 Result<HeteroGraph> LoadHeteroGraph(const std::string& path) {

@@ -17,32 +17,27 @@
 
 namespace freehgc {
 
-/// Writes a HeteroGraph to a self-contained binary file (magic + version +
-/// payload size + CRC-32 + types, relations as CSR, features, labels,
-/// splits). Condensed graphs round-trip exactly, so a condensation can be
-/// run once and shipped. Format version 2: the header carries the payload
-/// byte count and a CRC-32 of the payload, so truncation and corruption
-/// are detected before any graph state is constructed. Crash-safe: the
-/// container is written to a ".tmp" sibling, fsynced, and atomically
-/// renamed into place, so a killed writer never leaves a torn file under
-/// the target name.
-Status SaveHeteroGraph(const HeteroGraph& g, const std::string& path);
+// A graph has one byte format: the v3 container below. SaveHeteroGraphV3
+// writes it to a file, SerializeHeteroGraph builds the identical bytes in
+// memory for graph uploads, FetchGraph replication and return_graph
+// replies, so a condensation can be run once and shipped. Containers of
+// the earlier formats (version 1: magic, version, body; version 2 adds a
+// body size and CRC-32) are still read, never written.
 
-/// Reads a file written by SaveHeteroGraph or SaveHeteroGraphV3. Fails
-/// with InvalidArgument on magic/version mismatch and, for version >= 2
-/// containers, on truncation or checksum mismatch. Version-1 files (no
-/// checksum) still load. v1/v2 load via the heap path; v3 files are
-/// memory-mapped (the returned graph's storage views the mapping).
+/// Reads a graph container file. Fails with InvalidArgument on magic/
+/// version mismatch and, for version >= 2 containers, on truncation or
+/// checksum mismatch. Version-1 files (no checksum) still load. v1/v2
+/// load via the heap path; v3 files are memory-mapped (the returned
+/// graph's storage views the mapping).
 Result<HeteroGraph> LoadHeteroGraph(const std::string& path);
 
-/// Serializes to the same self-contained container SaveHeteroGraph writes,
-/// but in memory — the payload format of serve-layer graph uploads.
+/// Serializes to the v3 container in memory: byte for byte the file
+/// SaveHeteroGraphV3 writes.
 Result<std::string> SerializeHeteroGraph(const HeteroGraph& g);
 
-/// Parses a container produced by SerializeHeteroGraph/SaveHeteroGraph
-/// from memory, with the same integrity checks as LoadHeteroGraph.
-/// Understands v1/v2 bodies and in-memory v3 containers (the latter are
-/// deep-copied into owned storage, since the buffer is transient).
+/// Parses a container from memory, with the same integrity checks as
+/// LoadHeteroGraph. Understands v3 containers (deep-copied into owned
+/// storage, since the buffer is transient) and v1/v2 bodies.
 Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes);
 
 // --- v3 page-aligned container -------------------------------------------
@@ -67,6 +62,7 @@ struct V3WriteSummary {
 /// Streaming writer for v3 containers. Sections are written to a ".tmp"
 /// sibling as they are appended, so a multi-gigabyte graph can be produced
 /// without ever materializing it in memory (see datasets::GenerateToV3).
+/// CreateInMemory builds the same bytes in a buffer instead.
 /// Call order: AddNodeType* (all types first), then AddRelation* /
 /// feature blocks / SetTarget / SetSplit in any order, then
 /// SetContentFingerprint, then Finish (which writes the meta section,
@@ -75,6 +71,7 @@ struct V3WriteSummary {
 class HeteroGraphV3Writer {
  public:
   static Result<HeteroGraphV3Writer> Create(const std::string& path);
+  static HeteroGraphV3Writer CreateInMemory();
 
   HeteroGraphV3Writer(HeteroGraphV3Writer&& other) noexcept;
   HeteroGraphV3Writer& operator=(HeteroGraphV3Writer&& other) noexcept;
@@ -115,8 +112,13 @@ class HeteroGraphV3Writer {
   /// streaming generator computes it incrementally).
   Status SetContentFingerprint(uint64_t fingerprint);
 
-  /// Writes meta + section table + header, fsyncs, renames into place.
+  /// Writes meta + section table + header; a file writer then fsyncs and
+  /// renames into place.
   Result<V3WriteSummary> Finish();
+
+  /// Moves out the finished container of an in-memory writer (empty for a
+  /// file writer or before Finish).
+  std::string TakeBytes();
 
   /// Deletes the temporary file without publishing anything.
   void Abandon();

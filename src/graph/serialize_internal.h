@@ -1,7 +1,7 @@
 #ifndef FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 #define FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 
-// Shared pieces of the container codecs: the v1/v2 byte-stream helpers in
+// Shared pieces of the container codecs: the v1/v2 body reader in
 // serialize.cc and the v3 page-aligned container in container_v3.cc both
 // read length-prefixed strings and PODs from byte views, and both need the
 // container magic / version registry to dispatch on.
@@ -25,7 +25,8 @@ inline constexpr uint32_t kMagic = 0x46484743;  // "FHGC"
 // Version 1: magic, version, body. Version 2 inserts a u64 body size and
 // a CRC-32 of the body between the version field and the body, so loads
 // reject truncated or corrupted containers before building any state.
-// Version 3 is the page-aligned mappable container (container_v3.cc).
+// Both are read-only now. Version 3 is the page-aligned mappable
+// container (container_v3.cc), the only format written.
 inline constexpr uint32_t kVersionLegacy = 1;
 inline constexpr uint32_t kVersionV2 = 2;
 inline constexpr uint32_t kVersionV3 = 3;

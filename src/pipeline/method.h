@@ -68,9 +68,9 @@ struct MethodRun {
 };
 
 /// A condensation method behind the registry: one polymorphic Condense
-/// entry point replacing the per-method dispatch switch eval::RunMethod
-/// used to hold. Implementations are stateless (all run state flows
-/// through spec/env), so one registered instance serves every thread.
+/// entry point, looked up by its string key. Implementations are
+/// stateless (all run state flows through spec/env), so one registered
+/// instance serves every thread.
 class CondensationMethod {
  public:
   virtual ~CondensationMethod() = default;

@@ -56,7 +56,8 @@ class ServeClient {
                                       const std::string& preset,
                                       uint64_t seed, double scale);
 
-  /// Uploads a SaveHeteroGraph/SerializeHeteroGraph container.
+  /// Uploads a v3 graph container (SerializeHeteroGraph bytes, or a file
+  /// SaveHeteroGraphV3 wrote).
   Result<GraphInfo> UploadGraph(const std::string& name,
                                 std::string_view container);
 

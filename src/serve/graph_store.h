@@ -39,12 +39,13 @@ struct GraphInfo {
 };
 
 /// Registry of resident HeteroGraphs, the serving layer's object store:
-/// graphs enter once (uploaded as a SaveHeteroGraph container or built by
-/// a named synthetic generator) and every request against the same name
-/// shares the one immutable copy through a stable shared_ptr — in-process
-/// vineyard-style object sharing. A reference stays valid for as long as
-/// the caller holds it, even across Remove (removal only unlinks the
-/// name; in-flight requests keep the graph alive).
+/// graphs enter once (uploaded as a graph container, mapped from a v3
+/// file, or built by a named synthetic generator) and every request
+/// against the same name shares the one immutable copy through a stable
+/// shared_ptr — in-process vineyard-style object sharing. A reference
+/// stays valid for as long as the caller holds it, even across Remove
+/// (removal only unlinks the name; in-flight requests keep the graph
+/// alive).
 ///
 /// Thread-safe. Registration is idempotent on identical content: a name
 /// collision with the same fingerprint returns the existing entry, a
@@ -61,12 +62,13 @@ class GraphStore {
   /// Registers an already-built graph under `name`.
   Result<GraphInfo> Register(const std::string& name, HeteroGraph graph);
 
-  /// Registers a graph from a SaveHeteroGraph/SerializeHeteroGraph
-  /// container (the upload path). Corrupt or truncated payloads are
-  /// InvalidArgument — nothing is registered. With a spool dir set, the
-  /// upload is persisted as a v3 container (named by content fingerprint)
-  /// and re-registered as a mapped graph, so the heap copy is freed and
-  /// the resident arrays are page-cache-backed.
+  /// Registers a graph from an in-memory container (the upload path:
+  /// SerializeHeteroGraph's v3 bytes; legacy v1/v2 bodies still parse).
+  /// Corrupt or truncated payloads are InvalidArgument — nothing is
+  /// registered. With a spool dir set, the upload is persisted as a v3
+  /// container (named by content fingerprint) and re-registered as a
+  /// mapped graph, so the heap copy is freed and the resident arrays are
+  /// page-cache-backed.
   Result<GraphInfo> RegisterSerialized(const std::string& name,
                                        std::string_view container);
 

@@ -36,7 +36,8 @@ struct CondenseRequest {
   int64_t max_row_nnz = 512;
   /// Also train an HGNN on the condensed output and report accuracy.
   bool evaluate = false;
-  /// Ship the condensed graph back as a SerializeHeteroGraph container.
+  /// Ship the condensed graph back as a v3 container
+  /// (SerializeHeteroGraph bytes; a client can store them as a file).
   bool return_graph = false;
   /// Admission priority: lower values run first; FIFO within a priority.
   int priority = 0;

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
-#include "datasets/generator.h"
-#include "eval/experiment.h"
+#include <cstdint>
+#include <string>
+#include <vector>
 
-namespace freehgc::eval {
+#include "common/table.h"
+#include "datasets/generator.h"
+#include "pipeline/method.h"
+
+namespace freehgc::pipeline {
 namespace {
+
+std::string DisplayName(const std::string& key) {
+  const CondensationMethod* method = MethodRegistry::Global().Find(key);
+  return method != nullptr ? method->display_name() : "";
+}
 
 TEST(AggregateTest, MeanAndStd) {
   const MeanStd m = Aggregate({1.0, 2.0, 3.0});
@@ -22,9 +32,9 @@ TEST(CellTest, Formats) {
 }
 
 TEST(MethodNameTest, AllNamed) {
-  EXPECT_STREQ(MethodName(MethodKind::kFreeHGC), "FreeHGC");
-  EXPECT_STREQ(MethodName(MethodKind::kHGCond), "HGCond");
-  EXPECT_STREQ(MethodName(MethodKind::kCoarsening), "Coarsening-HG");
+  EXPECT_EQ(DisplayName("freehgc"), "FreeHGC");
+  EXPECT_EQ(DisplayName("hgcond"), "HGCond");
+  EXPECT_EQ(DisplayName("coarsening"), "Coarsening-HG");
 }
 
 TEST(TablePrinterTest, PrintsWithoutCrashing) {
@@ -34,7 +44,19 @@ TEST(TablePrinterTest, PrintsWithoutCrashing) {
   t.Print();
 }
 
-class RunMethodTest : public ::testing::TestWithParam<MethodKind> {};
+// The seven methods the paper evaluates, by registry key. A test case
+// carries an ordinal into this table rather than the key itself, which
+// keeps the generated test names of the suite below stable.
+constexpr const char* kPaperMethods[] = {
+    "random", "herding", "kcenter", "coarsening", "gcond", "hgcond",
+    "freehgc"};
+
+struct PaperMethod {
+  int32_t ordinal = 0;
+  std::string key() const { return kPaperMethods[ordinal]; }
+};
+
+class RunMethodTest : public ::testing::TestWithParam<PaperMethod> {};
 
 TEST_P(RunMethodTest, EndToEndOnToy) {
   const HeteroGraph g = datasets::MakeToy(5);
@@ -42,7 +64,7 @@ TEST_P(RunMethodTest, EndToEndOnToy) {
   popts.max_hops = 2;
   popts.max_paths = 6;
   const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
-  RunOptions run;
+  RunSpec run;
   run.ratio = 0.2;
   run.seed = 1;
   run.gm.outer_iters = 2;
@@ -51,7 +73,7 @@ TEST_P(RunMethodTest, EndToEndOnToy) {
   hgnn::HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 30;
-  auto res = RunMethod(ctx, GetParam(), run, cfg);
+  auto res = RunMethod(ctx, GetParam().key(), run, cfg);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_FALSE(res->oom);
   EXPECT_GE(res->accuracy, 0.0f);
@@ -61,14 +83,12 @@ TEST_P(RunMethodTest, EndToEndOnToy) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, RunMethodTest,
-    ::testing::Values(MethodKind::kRandom, MethodKind::kHerding,
-                      MethodKind::kKCenter, MethodKind::kCoarsening,
-                      MethodKind::kGCond, MethodKind::kHGCond,
-                      MethodKind::kFreeHGC),
+    ::testing::Values(PaperMethod{0}, PaperMethod{1}, PaperMethod{2},
+                      PaperMethod{3}, PaperMethod{4}, PaperMethod{5},
+                      PaperMethod{6}),
     [](const auto& info) {
-      std::string n = MethodName(info.param);
       std::string out;
-      for (char c : n) {
+      for (char c : DisplayName(info.param.key())) {
         if (c != '-') out += c;
       }
       return out;
@@ -79,17 +99,16 @@ TEST(RunMethodSeedsTest, AggregatesOverSeeds) {
   hgnn::PropagateOptions popts;
   popts.max_hops = 2;
   const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
-  RunOptions run;
+  RunSpec run;
   run.ratio = 0.2;
   hgnn::HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 20;
-  const AggregatedRun agg =
-      RunMethodSeeds(ctx, MethodKind::kRandom, run, cfg, {1, 2, 3});
+  const AggregatedRun agg = RunMethodSeeds(ctx, "random", run, cfg, {1, 2, 3});
   EXPECT_FALSE(agg.oom);
   EXPECT_GE(agg.accuracy.mean, 0.0);
   EXPECT_GE(agg.accuracy.std, 0.0);
 }
 
 }  // namespace
-}  // namespace freehgc::eval
+}  // namespace freehgc::pipeline

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,10 +57,92 @@ void ExpectGraphsEqual(const HeteroGraph& a, const HeteroGraph& b) {
   EXPECT_EQ(a.ContentFingerprint(), b.ContentFingerprint());
 }
 
+// A minimal encoder for the legacy v1/v2 containers. The library only
+// reads these formats now; files written by older releases still exist,
+// so the readers keep their coverage on bytes built here.
+template <typename T>
+void PutPod(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+template <typename T>
+void PutArray(std::string& out, std::span<const T> v) {
+  PutPod(out, static_cast<uint64_t>(v.size()));
+  out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+}
+
+void PutString(std::string& out, const std::string& s) {
+  PutPod(out, static_cast<uint32_t>(s.size()));
+  out.append(s);
+}
+
+/// The v1/v2 body: types, relations as CSR, features, target + splits.
+std::string LegacyBody(const HeteroGraph& g) {
+  std::string out;
+  PutPod(out, g.NumNodeTypes());
+  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
+    PutString(out, g.TypeName(t));
+    PutPod(out, g.NodeCount(t));
+  }
+  PutPod(out, g.NumRelations());
+  for (RelationId r = 0; r < g.NumRelations(); ++r) {
+    const Relation& rel = g.relation(r);
+    PutString(out, rel.name);
+    PutPod(out, rel.src_type);
+    PutPod(out, rel.dst_type);
+    PutPod(out, rel.adj.rows());
+    PutPod(out, rel.adj.cols());
+    PutArray(out, rel.adj.indptr());
+    PutArray(out, rel.adj.indices());
+    PutArray(out, rel.adj.values());
+  }
+  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
+    PutPod(out, static_cast<uint8_t>(g.HasFeatures(t) ? 1 : 0));
+    if (!g.HasFeatures(t)) continue;
+    const Matrix& m = g.Features(t);
+    PutPod(out, static_cast<int64_t>(m.rows()));
+    PutPod(out, static_cast<int64_t>(m.cols()));
+    out.append(reinterpret_cast<const char*>(m.data()),
+               static_cast<size_t>(m.size()) * sizeof(float));
+  }
+  PutPod(out, g.target_type());
+  if (g.target_type() >= 0) {
+    PutPod(out, g.num_classes());
+    PutArray(out, std::span<const int32_t>(g.labels()));
+    PutArray(out, std::span<const int32_t>(g.train_index()));
+    PutArray(out, std::span<const int32_t>(g.val_index()));
+    PutArray(out, std::span<const int32_t>(g.test_index()));
+  }
+  return out;
+}
+
+constexpr uint32_t kContainerMagic = 0x46484743;  // "FHGC"
+
+/// Version 1: magic, version, body.
+std::string LegacyV1(const HeteroGraph& g) {
+  std::string out;
+  PutPod(out, kContainerMagic);
+  PutPod(out, uint32_t{1});
+  out.append(LegacyBody(g));
+  return out;
+}
+
+/// Version 2: magic, version, body size, body CRC-32, body.
+std::string LegacyV2(const HeteroGraph& g) {
+  const std::string body = LegacyBody(g);
+  std::string out;
+  PutPod(out, kContainerMagic);
+  PutPod(out, uint32_t{2});
+  PutPod(out, static_cast<uint64_t>(body.size()));
+  PutPod(out, Crc32(body.data(), body.size()));
+  out.append(body);
+  return out;
+}
+
 TEST(SerializeTest, RoundTripsToyGraph) {
   const HeteroGraph g = datasets::MakeToy(5);
   const std::string path = TempPath("toy.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   auto loaded = LoadHeteroGraph(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->NumNodeTypes(), g.NumNodeTypes());
@@ -88,7 +171,7 @@ TEST(SerializeTest, RoundTripsCondensedGraph) {
   auto cond = core::Condense(g, opts);
   ASSERT_TRUE(cond.ok());
   const std::string path = TempPath("condensed.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(cond->graph, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(cond->graph, path).ok());
   auto loaded = LoadHeteroGraph(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->TotalNodes(), cond->graph.TotalNodes());
@@ -114,7 +197,7 @@ TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
 TEST(SerializeTest, RejectsTruncatedFile) {
   const HeteroGraph g = datasets::MakeToy(9);
   const std::string path = TempPath("trunc.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   // Truncate to half.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   std::fseek(f, 0, SEEK_END);
@@ -150,10 +233,7 @@ TEST(SerializeTest, RejectsBadMagic) {
 }
 
 TEST(SerializeTest, RejectsTruncationAtEveryRegion) {
-  const HeteroGraph g = datasets::MakeToy(11);
-  auto bytes = SerializeHeteroGraph(g);
-  ASSERT_TRUE(bytes.ok());
-  const std::string& full = *bytes;
+  const std::string full = LegacyV2(datasets::MakeToy(11));
   // Header is magic(4) + version(4) + body size(8) + crc(4) = 20 bytes.
   const size_t cuts[] = {0, 3, 4, 7, 8, 15, 19, 20, full.size() / 2,
                          full.size() - 1};
@@ -167,12 +247,9 @@ TEST(SerializeTest, RejectsTruncationAtEveryRegion) {
 }
 
 TEST(SerializeTest, RejectsChecksumMismatch) {
-  const HeteroGraph g = datasets::MakeToy(11);
-  auto bytes = SerializeHeteroGraph(g);
-  ASSERT_TRUE(bytes.ok());
   // Flip one bit in the body (past the 20-byte header): the size still
   // matches, so only the CRC catches it.
-  std::string corrupt = *bytes;
+  std::string corrupt = LegacyV2(datasets::MakeToy(11));
   corrupt[corrupt.size() - 1] =
       static_cast<char>(corrupt[corrupt.size() - 1] ^ 0x01);
   auto res = DeserializeHeteroGraph(corrupt);
@@ -183,24 +260,25 @@ TEST(SerializeTest, RejectsChecksumMismatch) {
 
 TEST(SerializeTest, LoadsLegacyVersion1Container) {
   const HeteroGraph g = datasets::MakeToy(11);
-  auto bytes = SerializeHeteroGraph(g);
-  ASSERT_TRUE(bytes.ok());
-  // A version-1 container is magic + version + body, with no size/crc
-  // header: rebuild one from the v2 bytes.
-  std::string legacy = bytes->substr(0, 4);  // magic
-  const uint32_t v1 = 1;
-  legacy.append(reinterpret_cast<const char*>(&v1), sizeof(v1));
-  legacy.append(bytes->substr(20));  // body
-  auto res = DeserializeHeteroGraph(legacy);
+  // A version-1 container is magic + version + body, with no size/crc.
+  auto res = DeserializeHeteroGraph(LegacyV1(g));
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->ContentFingerprint(), g.ContentFingerprint());
+  ExpectGraphsEqual(*res, g);
+}
+
+TEST(SerializeTest, LoadsLegacyVersion2FileFromDisk) {
+  const HeteroGraph g = datasets::MakeToy(13);
+  const std::string path = TempPath("legacy_v2.fhgc");
+  WriteFileBytes(path, LegacyV2(g));
+  auto loaded = LoadHeteroGraph(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->IsMapped());  // v1/v2 load onto the heap
+  ExpectGraphsEqual(*loaded, g);
+  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, RejectsUnsupportedVersion) {
-  const HeteroGraph g = datasets::MakeToy(11);
-  auto bytes = SerializeHeteroGraph(g);
-  ASSERT_TRUE(bytes.ok());
-  std::string future = *bytes;
+  std::string future = LegacyV2(datasets::MakeToy(11));
   const uint32_t v99 = 99;
   std::memcpy(future.data() + 4, &v99, sizeof(v99));
   auto res = DeserializeHeteroGraph(future);
@@ -211,7 +289,7 @@ TEST(SerializeTest, RejectsUnsupportedVersion) {
 TEST(SerializeTest, CorruptFileOnDiskIsRejected) {
   const HeteroGraph g = datasets::MakeToy(3);
   const std::string path = TempPath("corrupt.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   {
     // Flip a byte in the middle of the body.
     std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -231,6 +309,53 @@ TEST(SerializeTest, CorruptFileOnDiskIsRejected) {
 }
 
 // --- v3 page-aligned container --------------------------------------------
+
+/// One type, one self relation, no features, no target.
+HeteroGraph GraphWithoutTargetOrFeatures() {
+  HeteroGraph g;
+  const TypeId t0 = g.AddNodeType("only", 4).value();
+  auto adj = CsrMatrix::FromCoo(4, 4, {{0, 1, 1.0f}, {2, 3, 2.0f}});
+  EXPECT_TRUE(adj.ok());
+  EXPECT_TRUE(g.AddRelation("self", t0, t0, std::move(*adj)).ok());
+  return g;
+}
+
+TEST(ContainerV3Test, SerializeEqualsSavedFileByteForByte) {
+  const HeteroGraph toy = datasets::MakeToy(5);
+  core::FreeHgcOptions opts;
+  opts.ratio = 0.1;
+  opts.max_paths = 6;
+  auto cond = core::Condense(datasets::MakeDblp(7, /*scale=*/0.05), opts);
+  ASSERT_TRUE(cond.ok()) << cond.status().ToString();
+  const HeteroGraph& condensed = cond->graph;
+  const HeteroGraph minimal = GraphWithoutTargetOrFeatures();
+  const std::string path = TempPath("v3_same_bytes.fhgc");
+  for (const HeteroGraph* g : {&toy, &condensed, &minimal}) {
+    auto saved = SaveHeteroGraphV3(*g, path);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    auto bytes = SerializeHeteroGraph(*g);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(bytes->size(), saved->file_bytes);
+    EXPECT_TRUE(*bytes == ReadFileBytes(path));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ContainerV3Test, RejectsEverySingleByteFlip) {
+  auto bytes = SerializeHeteroGraph(datasets::MakeToy(5));
+  ASSERT_TRUE(bytes.ok());
+  std::string corrupt = *bytes;
+  // Header, table and payloads are CRC-covered; everything else is
+  // padding that must be zero.
+  for (size_t i = 0; i < corrupt.size(); ++i) {
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
+    auto res = DeserializeHeteroGraph(corrupt);
+    ASSERT_FALSE(res.ok()) << "flip at byte " << i << " accepted";
+    ASSERT_EQ(res.status().code(), StatusCode::kInvalidArgument)
+        << "flip at byte " << i << ": " << res.status().ToString();
+    corrupt[i] = (*bytes)[i];
+  }
+}
 
 TEST(ContainerV3Test, MappedGraphMatchesHeapGraphExactly) {
   const HeteroGraph g = datasets::MakeToy(5);
@@ -323,7 +448,7 @@ TEST(ContainerV3Test, InspectReportsSectionsAndStructure) {
 TEST(ContainerV3Test, InspectStillWorksOnLegacyContainers) {
   const HeteroGraph g = datasets::MakeToy(5);
   const std::string path = TempPath("v2_inspect.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  WriteFileBytes(path, LegacyV2(g));
   auto info = InspectContainer(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, 2u);
@@ -457,12 +582,6 @@ TEST(ContainerV3Test, SaveIsAtomicOverExistingFile) {
   auto loaded = LoadHeteroGraph(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->ContentFingerprint(), other.ContentFingerprint());
-  // Same contract for the v2 writer.
-  WriteFileBytes(path + ".tmp", "stale partial write");
-  ASSERT_TRUE(SaveHeteroGraph(good, path).ok());
-  loaded = LoadHeteroGraph(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ContentFingerprint(), good.ContentFingerprint());
   std::remove(path.c_str());
 }
 
@@ -496,12 +615,7 @@ TEST(ContainerV3Test, StreamingWriterEnforcesItsContract) {
 }
 
 TEST(ContainerV3Test, RoundTripsGraphWithoutTargetOrFeatures) {
-  HeteroGraph g;
-  auto t0 = g.AddNodeType("only", 4);
-  ASSERT_TRUE(t0.ok());
-  auto adj = CsrMatrix::FromCoo(4, 4, {{0, 1, 1.0f}, {2, 3, 2.0f}});
-  ASSERT_TRUE(adj.ok());
-  ASSERT_TRUE(g.AddRelation("self", *t0, *t0, std::move(*adj)).ok());
+  const HeteroGraph g = GraphWithoutTargetOrFeatures();
   const std::string path = TempPath("v3_minimal.fhgc");
   ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   auto mapped = MapHeteroGraph(path);
