@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -55,6 +56,42 @@ const CsrMatrix& DebugValidated(const CsrMatrix& m) {
   FREEHGC_CHECK(s.ok()) << s.ToString();
 #endif
   return m;
+}
+
+// Calls scatter(r, cols, vals) for each row r of `a`, in ascending row
+// order, with the row's entries whose columns fall in the caller's range;
+// one contiguous column range per worker (found by binary search, rows
+// being column-sorted). A transposed product scattered this way
+// accumulates every output element in ascending source-row order — the
+// order of the sequential scatter references — and no element is shared
+// between ranges. So, unlike chunked reductions, the range count may
+// follow the thread count: it cannot change a bit of the result. Each
+// range must carry kScatterRangeWork multiply-adds (`work_per_entry`
+// per entry), so small products run as one plain sequential scatter.
+template <typename Scatter>
+void ScatterByColumnRange(const CsrMatrix& a, int64_t work_per_entry,
+                          exec::ExecContext& ex, Scatter&& scatter) {
+  constexpr int64_t kScatterRangeWork = int64_t{1} << 16;
+  const int64_t ranges = std::clamp<int64_t>(
+      a.nnz() * work_per_entry / kScatterRangeWork, 1, ex.num_threads());
+  if (ranges == 1) {
+    for (int32_t r = 0; r < a.rows(); ++r) {
+      scatter(r, a.RowIndices(r), a.RowValues(r));
+    }
+    return;
+  }
+  ex.ParallelFor(
+      a.cols(), (a.cols() + ranges - 1) / ranges,
+      [&](int64_t lo, int64_t hi, exec::Workspace&) {
+        for (int32_t r = 0; r < a.rows(); ++r) {
+          auto idx = a.RowIndices(r);
+          const auto first = std::lower_bound(idx.begin(), idx.end(), lo);
+          const auto last = std::lower_bound(first, idx.end(), hi);
+          const size_t k = static_cast<size_t>(first - idx.begin());
+          const size_t n = static_cast<size_t>(last - first);
+          scatter(r, idx.subspan(k, n), a.RowValues(r).subspan(k, n));
+        }
+      });
 }
 
 }  // namespace
@@ -182,98 +219,10 @@ CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
   return out;
 }
 
-namespace {
-
-// SpGemm's two passes. The symbolic pass computes the sorted output
-// pattern of a * b (independent of values and of any row budget); the
-// numeric pass fills values straight into that exactly-sized pattern,
-// then prunes to max_row_nnz and drops exact zeros.
-struct SpGemmPlan {
-  int32_t a_rows = 0;
-  int32_t a_cols = 0;
-  int32_t b_cols = 0;
-  /// Symbolic structure: indptr/indices of the unpruned product pattern
-  /// (sorted, unique columns per row).
-  std::vector<int64_t> indptr = {0};
-  std::vector<int32_t> indices;
-
-  int64_t nnz() const { return static_cast<int64_t>(indices.size()); }
-};
-
-SpGemmPlan SpGemmSymbolic(const CsrMatrix& a, const CsrMatrix& b,
-                          exec::ExecContext* ctx) {
+CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
+                 exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_TRACE_SPAN("spgemm.symbolic");
-  static obs::Counter& symbolic_calls =
-      obs::MetricsRegistry::Global().GetCounter("spgemm.symbolic_calls");
-  symbolic_calls.Increment();
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  const int32_t m = a.rows(), n = b.cols();
-  const int64_t chunk = exec::ExecContext::ChunkSize(m, kRowMergeGrain);
-  const int64_t num_chunks = exec::ExecContext::NumChunks(m, kRowMergeGrain);
-
-  SpGemmPlan plan;
-  plan.a_rows = m;
-  plan.a_cols = a.cols();
-  plan.b_cols = n;
-  plan.indptr.assign(static_cast<size_t>(m) + 1, 0);
-
-  // Per-row set merges with a byte-marker sparse accumulator; each chunk
-  // stages its rows' sorted column lists, spliced below at offsets known
-  // from the prefix-summed per-row counts.
-  std::vector<std::vector<int32_t>> chunk_indices(
-      static_cast<size_t>(num_chunks));
-  ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
-                                        exec::Workspace& ws) {
-    std::vector<uint8_t>& mark = ws.ZeroedMark(static_cast<size_t>(n));
-    std::vector<int32_t>& touched = ws.Touched();
-    auto& indices = chunk_indices[static_cast<size_t>(begin / chunk)];
-    for (int64_t i = begin; i < end; ++i) {
-      touched.clear();
-      auto ai = a.RowIndices(static_cast<int32_t>(i));
-      for (int32_t p : ai) {
-        for (int32_t j : b.RowIndices(p)) {
-          if (!mark[static_cast<size_t>(j)]) {
-            mark[static_cast<size_t>(j)] = 1;
-            touched.push_back(j);
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      for (int32_t j : touched) {
-        indices.push_back(j);
-        mark[static_cast<size_t>(j)] = 0;
-      }
-      plan.indptr[static_cast<size_t>(i) + 1] =
-          static_cast<int64_t>(touched.size());
-    }
-  });
-
-  for (size_t i = 1; i < plan.indptr.size(); ++i) {
-    plan.indptr[i] += plan.indptr[i - 1];
-  }
-  plan.indices.resize(static_cast<size_t>(plan.indptr.back()));
-  ex.ParallelFor(num_chunks, 1,
-                 [&](int64_t begin, int64_t end, exec::Workspace&) {
-                   for (int64_t c = begin; c < end; ++c) {
-                     const size_t offset = static_cast<size_t>(
-                         plan.indptr[static_cast<size_t>(c * chunk)]);
-                     const auto& ci = chunk_indices[static_cast<size_t>(c)];
-                     std::copy(ci.begin(), ci.end(),
-                               plan.indices.begin() + offset);
-                   }
-                 });
-  return plan;
-}
-
-CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
-                        const SpGemmPlan& plan, int64_t max_row_nnz,
-                        exec::ExecContext* ctx) {
-  FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_CHECK(plan.a_rows == a.rows());
-  FREEHGC_CHECK(plan.a_cols == a.cols());
-  FREEHGC_CHECK(plan.b_cols == b.cols());
-  FREEHGC_TRACE_SPAN("spgemm.numeric");
+  FREEHGC_TRACE_SPAN("spgemm");
   // Value metrics (flops = multiply-adds performed, rows truncated and
   // entries dropped by the max_row_nnz budget) accumulate per chunk and
   // land as one atomic add each, so totals are chunk-layout-deterministic
@@ -293,49 +242,86 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
   calls.Increment();
   exec::ExecContext& ex = exec::Resolve(ctx);
   const int32_t m = a.rows(), n = b.cols();
+  const int64_t chunk = exec::ExecContext::ChunkSize(m, kRowMergeGrain);
+  const int64_t num_chunks = exec::ExecContext::NumChunks(m, kRowMergeGrain);
 
-  // Pass 1 — fill values at the plan's exact offsets (no staging, no
-  // sort, no grow-as-you-go buffers: the plan already fixes where every
-  // structural entry lands). Per-row kept counts — exact zeros dropped,
-  // max_row_nnz budget applied — land in out_indptr for the prefix sum.
-  std::vector<float> plan_values(static_cast<size_t>(plan.nnz()));
-  std::vector<int64_t> out_indptr(static_cast<size_t>(m) + 1, 0);
+  // One Gustavson pass per row: accumulate a[i,:] * b into the dense
+  // sparse accumulator (products summed in k-then-t order, the order of
+  // SpGemmRef), drop exact zeros, cut the row to its budget, and stage
+  // the kept entries column-sorted per chunk. Entries the budget drops
+  // are never written anywhere. There is no count pass: the kept counts
+  // come out of this one, and their prefix sum places each chunk's
+  // staged run in the output.
+  struct Staged {
+    std::vector<int32_t> indices;
+    std::vector<float> values;
+  };
+  std::vector<Staged> staged(static_cast<size_t>(num_chunks));
+  std::vector<int64_t> indptr(static_cast<size_t>(m) + 1, 0);
   ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
                                         exec::Workspace& ws) {
     std::vector<float>& accum = ws.ZeroedAccum(static_cast<size_t>(n));
+    std::vector<uint8_t>& mark = ws.ZeroedMark(static_cast<size_t>(n));
+    std::vector<int32_t>& cols = ws.Touched();
+    Staged& out = staged[static_cast<size_t>(begin / chunk)];
     int64_t flops = 0, truncated = 0, dropped = 0;
     obs::LocalHistogram row_hist;
+    // The budget keeps the max_row_nnz entries largest by (|value|, then
+    // smaller column index): the column tie-break makes the comparator a
+    // total order, so the kept set is independent of candidate order —
+    // hence of thread count.
+    auto larger = [&](int32_t x, int32_t y) {
+      const float ax = std::fabs(accum[static_cast<size_t>(x)]);
+      const float ay = std::fabs(accum[static_cast<size_t>(y)]);
+      if (ax != ay) return ax > ay;
+      return x < y;
+    };
     for (int64_t i = begin; i < end; ++i) {
+      cols.clear();
       auto ai = a.RowIndices(static_cast<int32_t>(i));
       auto av = a.RowValues(static_cast<int32_t>(i));
       for (size_t k = 0; k < ai.size(); ++k) {
-        const int32_t p = ai[k];
         const float apv = av[k];
-        auto bi = b.RowIndices(p);
-        auto bv = b.RowValues(p);
+        auto bi = b.RowIndices(ai[k]);
+        auto bv = b.RowValues(ai[k]);
         flops += static_cast<int64_t>(bi.size());
         for (size_t t = 0; t < bi.size(); ++t) {
-          accum[static_cast<size_t>(bi[t])] += apv * bv[t];
+          const size_t j = static_cast<size_t>(bi[t]);
+          if (!mark[j]) {
+            mark[j] = 1;
+            cols.push_back(bi[t]);
+          }
+          accum[j] += apv * bv[t];
         }
       }
-      const int64_t base = plan.indptr[static_cast<size_t>(i)];
-      const int64_t row_nnz = plan.indptr[static_cast<size_t>(i) + 1] - base;
-      int64_t nonzero = 0;
-      for (int64_t k = 0; k < row_nnz; ++k) {
-        const int32_t j = plan.indices[static_cast<size_t>(base + k)];
-        const float v = accum[static_cast<size_t>(j)];
-        plan_values[static_cast<size_t>(base + k)] = v;
-        accum[static_cast<size_t>(j)] = 0.0f;
-        if (v != 0.0f) ++nonzero;
+      // Exact zeros (stored zeros, cancellations) are not output entries.
+      // They may stay in the accumulator: adding to a zero of either sign
+      // gives the same bits for any nonzero sum, and a zero sum is
+      // dropped whatever its sign.
+      size_t live = 0;
+      for (int32_t j : cols) {
+        mark[static_cast<size_t>(j)] = 0;
+        if (accum[static_cast<size_t>(j)] != 0.0f) cols[live++] = j;
       }
-      int64_t kept = nonzero;
-      if (max_row_nnz > 0 && nonzero > max_row_nnz) {
-        kept = max_row_nnz;
+      cols.resize(live);
+      if (max_row_nnz > 0 && static_cast<int64_t>(live) > max_row_nnz) {
+        std::nth_element(cols.begin(), cols.begin() + max_row_nnz,
+                         cols.end(), larger);
+        for (size_t t = static_cast<size_t>(max_row_nnz); t < live; ++t) {
+          accum[static_cast<size_t>(cols[t])] = 0.0f;
+        }
+        cols.resize(static_cast<size_t>(max_row_nnz));
         ++truncated;
-        dropped += nonzero - max_row_nnz;
+        dropped += static_cast<int64_t>(live) - max_row_nnz;
       }
-      row_hist.Observe(kept);
-      out_indptr[static_cast<size_t>(i) + 1] = kept;
+      std::sort(cols.begin(), cols.end());
+      for (int32_t j : cols) {
+        out.indices.push_back(j);
+        out.values.push_back(accum[static_cast<size_t>(j)]);
+        accum[static_cast<size_t>(j)] = 0.0f;
+      }
+      row_hist.Observe(static_cast<int64_t>(cols.size()));
+      indptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(cols.size());
     }
     row_hist.FlushTo(row_nnz_hist);
     flops_ctr.Add(flops);
@@ -345,96 +331,29 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
     }
   });
 
-  for (size_t i = 1; i < out_indptr.size(); ++i) {
-    out_indptr[i] += out_indptr[i - 1];
-  }
-  const int64_t out_nnz = out_indptr.back();
+  for (size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
+  const int64_t out_nnz = indptr.back();
   out_nnz_ctr.Add(out_nnz);
-
-  if (out_nnz == plan.nnz()) {
-    // Structure unchanged (no budget hit, no exact zeros): the plan's
-    // pattern is the output pattern and the values are already in place.
-    std::vector<int32_t> indices(plan.indices);
-    auto res = CsrMatrix::FromParts(m, n, std::move(out_indptr),
-                                    std::move(indices),
-                                    std::move(plan_values));
-    FREEHGC_CHECK(res.ok());
-    CsrMatrix out = std::move(res).value();
-    DebugValidated(out);
-    return out;
-  }
-
-  // Pass 2 — compact the surviving entries to their final offsets. The
-  // budget keeps the max_row_nnz entries largest by (|value|, then
-  // smaller column index): the column tie-break makes the comparator a
-  // total order, so the selected set is independent of candidate order —
-  // hence of thread count.
   std::vector<int32_t> indices(static_cast<size_t>(out_nnz));
   std::vector<float> values(static_cast<size_t>(out_nnz));
-  ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
-                                        exec::Workspace& ws) {
-    std::vector<int32_t>& cand = ws.Touched();
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t base = plan.indptr[static_cast<size_t>(i)];
-      const int64_t row_nnz = plan.indptr[static_cast<size_t>(i) + 1] - base;
-      const int64_t out_base = out_indptr[static_cast<size_t>(i)];
-      const int64_t kept = out_indptr[static_cast<size_t>(i) + 1] - out_base;
-      if (kept == row_nnz) {
-        std::copy(plan.indices.begin() + base,
-                  plan.indices.begin() + base + row_nnz,
-                  indices.begin() + out_base);
-        std::copy(plan_values.begin() + base,
-                  plan_values.begin() + base + row_nnz,
-                  values.begin() + out_base);
-        continue;
-      }
-      cand.clear();
-      for (int64_t k = 0; k < row_nnz; ++k) {
-        if (plan_values[static_cast<size_t>(base + k)] != 0.0f) {
-          cand.push_back(static_cast<int32_t>(k));
-        }
-      }
-      if (static_cast<int64_t>(cand.size()) > kept) {
-        // Partial select, not a full sort; plan columns are ascending,
-        // so smaller in-row offset == smaller column index.
-        std::nth_element(
-            cand.begin(), cand.begin() + kept, cand.end(),
-            [&](int32_t x, int32_t y) {
-              const float ax =
-                  std::fabs(plan_values[static_cast<size_t>(base + x)]);
-              const float ay =
-                  std::fabs(plan_values[static_cast<size_t>(base + y)]);
-              if (ax != ay) return ax > ay;
-              return x < y;
-            });
-        cand.resize(static_cast<size_t>(kept));
-        std::sort(cand.begin(), cand.end());
-      }
-      for (size_t t = 0; t < cand.size(); ++t) {
-        const int64_t src = base + cand[t];
-        indices[static_cast<size_t>(out_base) + t] =
-            plan.indices[static_cast<size_t>(src)];
-        values[static_cast<size_t>(out_base) + t] =
-            plan_values[static_cast<size_t>(src)];
-      }
-    }
-  });
-  auto res = CsrMatrix::FromParts(m, n, std::move(out_indptr),
-                                  std::move(indices), std::move(values));
+  ex.ParallelFor(num_chunks, 1,
+                 [&](int64_t begin, int64_t end, exec::Workspace&) {
+                   for (int64_t c = begin; c < end; ++c) {
+                     const Staged& s = staged[static_cast<size_t>(c)];
+                     const size_t offset = static_cast<size_t>(
+                         indptr[static_cast<size_t>(c * chunk)]);
+                     std::copy(s.indices.begin(), s.indices.end(),
+                               indices.begin() + offset);
+                     std::copy(s.values.begin(), s.values.end(),
+                               values.begin() + offset);
+                   }
+                 });
+  auto res = CsrMatrix::FromParts(m, n, std::move(indptr), std::move(indices),
+                                  std::move(values));
   FREEHGC_CHECK(res.ok());
   CsrMatrix out = std::move(res).value();
   DebugValidated(out);
   return out;
-}
-
-}  // namespace
-
-CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
-                 exec::ExecContext* ctx) {
-  FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_TRACE_SPAN("spgemm");
-  const SpGemmPlan plan = SpGemmSymbolic(a, b, ctx);
-  return SpGemmNumeric(a, b, plan, max_row_nnz, ctx);
 }
 
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
@@ -469,8 +388,19 @@ Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
                   exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.rows() == x.rows());
   FREEHGC_TRACE_SPAN("spmm_dense_t");
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  return SpMmDense(Transpose(a, &ex), x, &ex);
+  Matrix out(a.cols(), x.cols());
+  const int64_t d = x.cols();
+  ScatterByColumnRange(
+      a, d, exec::Resolve(ctx),
+      [&](int32_t r, std::span<const int32_t> cols,
+          std::span<const float> vals) {
+        const float* x_row = x.Row(r);
+        for (size_t k = 0; k < cols.size(); ++k) {
+          float* out_row = out.Row(cols[k]);
+          for (int64_t j = 0; j < d; ++j) out_row[j] += vals[k] * x_row[j];
+        }
+      });
+  return out;
 }
 
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
@@ -502,8 +432,17 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
                          exec::ExecContext* ctx) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.rows());
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  return SpMv(Transpose(a, &ex), x, &ex);
+  std::vector<float> y(static_cast<size_t>(a.cols()), 0.0f);
+  ScatterByColumnRange(
+      a, 1, exec::Resolve(ctx),
+      [&](int32_t r, std::span<const int32_t> cols,
+          std::span<const float> vals) {
+        const float xv = x[static_cast<size_t>(r)];
+        for (size_t k = 0; k < cols.size(); ++k) {
+          y[static_cast<size_t>(cols[k])] += vals[k] * xv;
+        }
+      });
+  return y;
 }
 
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,

@@ -33,9 +33,9 @@ CsrMatrix RowNormalize(const CsrMatrix& a,
 CsrMatrix SymNormalize(const CsrMatrix& a,
                        exec::ExecContext* ctx = nullptr);
 
-/// Sparse-sparse product a * b: a symbolic pass computes the output
-/// pattern (parallel per-row set merges), then a numeric pass fills its
-/// values.
+/// Sparse-sparse product a * b in one row-parallel Gustavson pass: each
+/// output row is accumulated, cut to its budget and staged in the same
+/// sweep, and rows are spliced after a prefix sum of their kept counts.
 ///
 /// `max_row_nnz` bounds densification: when > 0, each output row keeps only
 /// the `max_row_nnz` entries largest by (|value|, then smaller column
@@ -54,10 +54,10 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
                  exec::ExecContext* ctx = nullptr);
 
-/// Dense product a^T * x: materializes the (parallel) transpose and runs
-/// the row-parallel SpMmDense over it. The gather accumulates each output
-/// element in ascending source-row order — exactly the order of the old
-/// sequential column-scatter — so the parallel path is value-preserving.
+/// Dense product a^T * x as a direct scatter, with no transpose: each
+/// worker owns a range of output rows and walks a's rows in ascending
+/// order, so every output element accumulates in ascending source-row
+/// order (bit-identical to the sequential scatter at any thread count).
 Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
                   exec::ExecContext* ctx = nullptr);
 
@@ -70,9 +70,8 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx = nullptr);
 
-/// y = a^T * x via the materialized parallel transpose (row-parallel
-/// gather in ascending source-row order; value-preserving vs the old
-/// sequential column-scatter).
+/// y = a^T * x as a direct scatter over per-worker ranges of y, in
+/// ascending source-row order like SpMmDenseT.
 std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
                          exec::ExecContext* ctx = nullptr);
 

@@ -195,6 +195,68 @@ TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndBudgets) {
   }
 }
 
+/// One output row whose 20 structural entries outnumber every nonzero
+/// budget: the 10 even columns cancel to exactly zero (one path through
+/// a stored-zero product), and the 10 odd survivors all tie at |value| 1
+/// with alternating signs.
+std::pair<CsrMatrix, CsrMatrix> CancellingTiesPair() {
+  std::vector<CooEntry> ae = {{0, 0, 1.0f}, {0, 1, 1.0f}, {0, 2, 0.0f}};
+  std::vector<CooEntry> be;
+  for (int32_t c = 0; c < 20; ++c) {
+    if (c % 2 == 0) {
+      be.push_back({0, c, 0.75f});
+      be.push_back({1, c, -0.75f});
+    } else {
+      be.push_back({0, c, c % 4 == 1 ? 1.0f : -1.0f});
+    }
+    if (c < 5) be.push_back({2, c, -3.0f});
+  }
+  return {FromCooOrDie(1, 3, std::move(ae)),
+          FromCooOrDie(3, 20, std::move(be))};
+}
+
+TEST(SparseReferenceTest, SpGemmReusedContextMatchesReference) {
+  // Production reuses one pool, so each worker's Workspace (accumulator,
+  // marker, column list) carries over between SpGEMM calls. Run every
+  // case back to back on one context per thread count: an accumulator
+  // or marker entry left dirty by one call corrupts a later one.
+  std::vector<std::pair<std::string, std::pair<CsrMatrix, CsrMatrix>>> cases;
+  for (const auto& e : Corpus()) {
+    cases.push_back({e.name, {e.m, sparse::reference::TransposeRef(e.m)}});
+  }
+  cases.push_back({"cancelling_ties", CancellingTiesPair()});
+  constexpr int64_t kBudgets[] = {0, 1, 8};
+  for (int threads : kThreadCounts) {
+    exec::ExecContext ex(threads);
+    for (const auto& [name, ab] : cases) {
+      for (int64_t budget : kBudgets) {
+        const std::string context = name +
+                                    " budget=" + std::to_string(budget) +
+                                    " threads=" + std::to_string(threads);
+        const CsrMatrix got = sparse::SpGemm(ab.first, ab.second, budget, &ex);
+        ExpectValid(got, context);
+        ExpectBitIdentical(
+            got, sparse::reference::SpGemmRef(ab.first, ab.second, budget),
+            context);
+      }
+    }
+  }
+
+  // The reference keeps the survivors with the smallest columns.
+  const auto [a, b] = CancellingTiesPair();
+  for (int64_t budget : kBudgets) {
+    const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
+    std::vector<int32_t> cols;
+    for (int32_t c = 1; c < 20 && (budget == 0 ||
+                                   static_cast<int64_t>(cols.size()) < budget);
+         c += 2) {
+      cols.push_back(c);
+    }
+    EXPECT_EQ(ToVec(want.RowIndices(0)), cols) << "budget=" << budget;
+    for (float v : want.RowValues(0)) EXPECT_EQ(std::fabs(v), 1.0f);
+  }
+}
+
 TEST(SparseReferenceTest, SpMmDenseMatchesReference) {
   for (const auto& e : Corpus()) {
     Rng rng(101);
