@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
-#include <span>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -56,42 +55,6 @@ const CsrMatrix& DebugValidated(const CsrMatrix& m) {
   FREEHGC_CHECK(s.ok()) << s.ToString();
 #endif
   return m;
-}
-
-// Calls scatter(r, cols, vals) for each row r of `a`, in ascending row
-// order, with the row's entries whose columns fall in the caller's range;
-// one contiguous column range per worker (found by binary search, rows
-// being column-sorted). A transposed product scattered this way
-// accumulates every output element in ascending source-row order — the
-// order of the sequential scatter references — and no element is shared
-// between ranges. So, unlike chunked reductions, the range count may
-// follow the thread count: it cannot change a bit of the result. Each
-// range must carry kScatterRangeWork multiply-adds (`work_per_entry`
-// per entry), so small products run as one plain sequential scatter.
-template <typename Scatter>
-void ScatterByColumnRange(const CsrMatrix& a, int64_t work_per_entry,
-                          exec::ExecContext& ex, Scatter&& scatter) {
-  constexpr int64_t kScatterRangeWork = int64_t{1} << 16;
-  const int64_t ranges = std::clamp<int64_t>(
-      a.nnz() * work_per_entry / kScatterRangeWork, 1, ex.num_threads());
-  if (ranges == 1) {
-    for (int32_t r = 0; r < a.rows(); ++r) {
-      scatter(r, a.RowIndices(r), a.RowValues(r));
-    }
-    return;
-  }
-  ex.ParallelFor(
-      a.cols(), (a.cols() + ranges - 1) / ranges,
-      [&](int64_t lo, int64_t hi, exec::Workspace&) {
-        for (int32_t r = 0; r < a.rows(); ++r) {
-          auto idx = a.RowIndices(r);
-          const auto first = std::lower_bound(idx.begin(), idx.end(), lo);
-          const auto last = std::lower_bound(first, idx.end(), hi);
-          const size_t k = static_cast<size_t>(first - idx.begin());
-          const size_t n = static_cast<size_t>(last - first);
-          scatter(r, idx.subspan(k, n), a.RowValues(r).subspan(k, n));
-        }
-      });
 }
 
 }  // namespace
@@ -385,21 +348,19 @@ Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
 }
 
 Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
-                  exec::ExecContext* ctx) {
+                  exec::ExecContext* /*ctx*/) {
   FREEHGC_CHECK(a.rows() == x.rows());
   FREEHGC_TRACE_SPAN("spmm_dense_t");
   Matrix out(a.cols(), x.cols());
-  const int64_t d = x.cols();
-  ScatterByColumnRange(
-      a, d, exec::Resolve(ctx),
-      [&](int32_t r, std::span<const int32_t> cols,
-          std::span<const float> vals) {
-        const float* x_row = x.Row(r);
-        for (size_t k = 0; k < cols.size(); ++k) {
-          float* out_row = out.Row(cols[k]);
-          for (int64_t j = 0; j < d; ++j) out_row[j] += vals[k] * x_row[j];
-        }
-      });
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    auto idx = a.RowIndices(r);
+    auto val = a.RowValues(r);
+    const float* x_row = x.Row(r);
+    for (size_t k = 0; k < idx.size(); ++k) {
+      float* out_row = out.Row(idx[k]);
+      for (int64_t c = 0; c < x.cols(); ++c) out_row[c] += val[k] * x_row[c];
+    }
+  }
   return out;
 }
 
@@ -430,18 +391,17 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 }
 
 std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
-                         exec::ExecContext* ctx) {
+                         exec::ExecContext* /*ctx*/) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.rows());
   std::vector<float> y(static_cast<size_t>(a.cols()), 0.0f);
-  ScatterByColumnRange(
-      a, 1, exec::Resolve(ctx),
-      [&](int32_t r, std::span<const int32_t> cols,
-          std::span<const float> vals) {
-        const float xv = x[static_cast<size_t>(r)];
-        for (size_t k = 0; k < cols.size(); ++k) {
-          y[static_cast<size_t>(cols[k])] += vals[k] * xv;
-        }
-      });
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    const float xv = x[static_cast<size_t>(r)];
+    auto idx = a.RowIndices(r);
+    auto val = a.RowValues(r);
+    for (size_t k = 0; k < idx.size(); ++k) {
+      y[static_cast<size_t>(idx[k])] += val[k] * xv;
+    }
+  }
   return y;
 }
 

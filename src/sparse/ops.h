@@ -54,10 +54,10 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
                  exec::ExecContext* ctx = nullptr);
 
-/// Dense product a^T * x as a direct scatter, with no transpose: each
-/// worker owns a range of output rows and walks a's rows in ascending
-/// order, so every output element accumulates in ascending source-row
-/// order (bit-identical to the sequential scatter at any thread count).
+/// Dense product a^T * x as one sequential scatter over a's rows in
+/// ascending order, with no transpose: every output element accumulates
+/// in ascending source-row order. `ctx` is unused; no caller has yet
+/// needed a parallel split.
 Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
                   exec::ExecContext* ctx = nullptr);
 
@@ -70,8 +70,8 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx = nullptr);
 
-/// y = a^T * x as a direct scatter over per-worker ranges of y, in
-/// ascending source-row order like SpMmDenseT.
+/// y = a^T * x as one sequential scatter in ascending source-row order,
+/// like SpMmDenseT; `ctx` is unused.
 std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
                          exec::ExecContext* ctx = nullptr);
 

@@ -174,27 +174,6 @@ TEST(SparseReferenceTest, NormalizeMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndBudgets) {
-  for (const auto& e : Corpus()) {
-    // Square the matrix against its own transpose so every corpus shape
-    // yields a composable pair (m x n) * (n x m).
-    const CsrMatrix bt = sparse::reference::TransposeRef(e.m);
-    for (int64_t budget : {int64_t{0}, int64_t{8}}) {
-      const CsrMatrix want = sparse::reference::SpGemmRef(e.m, bt, budget);
-      ExpectValid(want, e.name + " reference");
-      for (int threads : kThreadCounts) {
-        exec::ExecContext ex(threads);
-        const std::string context = e.name +
-                                    " budget=" + std::to_string(budget) +
-                                    " threads=" + std::to_string(threads);
-        const CsrMatrix got = sparse::SpGemm(e.m, bt, budget, &ex);
-        ExpectValid(got, context);
-        ExpectBitIdentical(got, want, context);
-      }
-    }
-  }
-}
-
 /// One output row whose 20 structural entries outnumber every nonzero
 /// budget: the 10 even columns cancel to exactly zero (one path through
 /// a stored-zero product), and the 10 odd survivors all tie at |value| 1
@@ -215,11 +194,13 @@ std::pair<CsrMatrix, CsrMatrix> CancellingTiesPair() {
           FromCooOrDie(3, 20, std::move(be))};
 }
 
-TEST(SparseReferenceTest, SpGemmReusedContextMatchesReference) {
-  // Production reuses one pool, so each worker's Workspace (accumulator,
-  // marker, column list) carries over between SpGEMM calls. Run every
-  // case back to back on one context per thread count: an accumulator
-  // or marker entry left dirty by one call corrupts a later one.
+TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndBudgets) {
+  // Each corpus matrix is squared against its own transpose, so every
+  // shape yields a composable pair (m x n) * (n x m). Production reuses
+  // one pool, so each worker's Workspace (accumulator, marker, column
+  // list) carries over between SpGEMM calls. Every case runs back to back
+  // on one context per thread count: an accumulator or marker entry left
+  // dirty by one call corrupts a later one.
   std::vector<std::pair<std::string, std::pair<CsrMatrix, CsrMatrix>>> cases;
   for (const auto& e : Corpus()) {
     cases.push_back({e.name, {e.m, sparse::reference::TransposeRef(e.m)}});
@@ -233,11 +214,12 @@ TEST(SparseReferenceTest, SpGemmReusedContextMatchesReference) {
         const std::string context = name +
                                     " budget=" + std::to_string(budget) +
                                     " threads=" + std::to_string(threads);
+        const CsrMatrix want =
+            sparse::reference::SpGemmRef(ab.first, ab.second, budget);
+        ExpectValid(want, context + " reference");
         const CsrMatrix got = sparse::SpGemm(ab.first, ab.second, budget, &ex);
         ExpectValid(got, context);
-        ExpectBitIdentical(
-            got, sparse::reference::SpGemmRef(ab.first, ab.second, budget),
-            context);
+        ExpectBitIdentical(got, want, context);
       }
     }
   }
