@@ -30,7 +30,7 @@ int main() {
   hgnn::PropagateOptions popts;
   popts.max_hops = datasets::RecommendedHops("acm");
   const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, popts);
-  std::printf("meta-path feature blocks: %zu\n", ctx.full_features.blocks.size());
+  std::printf("meta-path feature blocks: %zu\n", ctx.full_features->blocks.size());
 
   // 3. Condense to 2.4%% with FreeHGC — training-free, so this is fast.
   core::FreeHgcOptions opts;

@@ -56,9 +56,9 @@ Result<BaselineResult> CoresetCondense(const hgnn::EvalContext& ctx,
 
   // Embedding space for the target type: concatenation of the propagated
   // meta-path blocks.
-  Matrix embedding = ctx.full_features.blocks.front();
-  for (size_t b = 1; b < ctx.full_features.blocks.size(); ++b) {
-    embedding = embedding.ConcatCols(ctx.full_features.blocks[b]);
+  Matrix embedding = ctx.full_features->blocks.front();
+  for (size_t b = 1; b < ctx.full_features->blocks.size(); ++b) {
+    embedding = embedding.ConcatCols(ctx.full_features->blocks[b]);
   }
 
   const TypeId target = g.target_type();

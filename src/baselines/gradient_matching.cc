@@ -138,11 +138,11 @@ Result<SyntheticData> GradientMatchingCondense(
   // Concatenate blocks: the relay is a linear model on the fused
   // pre-propagated representation (the HeteroSGC relay the paper says
   // HGCond is restricted to).
-  Matrix h = ctx.full_features.blocks.front();
+  Matrix h = ctx.full_features->blocks.front();
   std::vector<int64_t> widths = {h.cols()};
-  for (size_t b = 1; b < ctx.full_features.blocks.size(); ++b) {
-    widths.push_back(ctx.full_features.blocks[b].cols());
-    h = h.ConcatCols(ctx.full_features.blocks[b]);
+  for (size_t b = 1; b < ctx.full_features->blocks.size(); ++b) {
+    widths.push_back(ctx.full_features->blocks[b].cols());
+    h = h.ConcatCols(ctx.full_features->blocks[b]);
   }
   const int64_t d = h.cols();
   const int32_t num_classes = g.num_classes();

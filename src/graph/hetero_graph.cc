@@ -12,6 +12,7 @@ namespace freehgc {
 
 Result<TypeId> HeteroGraph::AddNodeType(const std::string& name,
                                         int32_t count) {
+  fingerprint_.Set(0);
   if (count < 0) return Status::InvalidArgument("negative node count");
   if (type_index_.count(name) > 0) {
     return Status::InvalidArgument("duplicate node type: " + name);
@@ -27,6 +28,7 @@ Result<TypeId> HeteroGraph::AddNodeType(const std::string& name,
 Result<RelationId> HeteroGraph::AddRelation(const std::string& name,
                                             TypeId src, TypeId dst,
                                             CsrMatrix adj) {
+  fingerprint_.Set(0);
   if (src < 0 || src >= NumNodeTypes() || dst < 0 || dst >= NumNodeTypes()) {
     return Status::InvalidArgument("relation endpoint type out of range");
   }
@@ -42,6 +44,7 @@ Result<RelationId> HeteroGraph::AddRelation(const std::string& name,
 }
 
 void HeteroGraph::EnsureReverseRelations(exec::ExecContext* ctx) {
+  fingerprint_.Set(0);
   const size_t original = relations_.size();
   // Candidates: relations with no schema-level reverse. Self-relations
   // (src == dst) are their own reverse only when symmetric, so they stay
@@ -85,6 +88,7 @@ void HeteroGraph::EnsureReverseRelations(exec::ExecContext* ctx) {
 }
 
 Status HeteroGraph::SetFeatures(TypeId type, Matrix features) {
+  fingerprint_.Set(0);
   if (type < 0 || type >= NumNodeTypes()) {
     return Status::InvalidArgument("type out of range");
   }
@@ -100,6 +104,7 @@ Status HeteroGraph::SetFeatures(TypeId type, Matrix features) {
 
 Status HeteroGraph::SetTarget(TypeId type, std::vector<int32_t> labels,
                               int32_t num_classes) {
+  fingerprint_.Set(0);
   if (type < 0 || type >= NumNodeTypes()) {
     return Status::InvalidArgument("target type out of range");
   }
@@ -120,6 +125,7 @@ Status HeteroGraph::SetTarget(TypeId type, std::vector<int32_t> labels,
 Status HeteroGraph::SetSplit(std::vector<int32_t> train,
                              std::vector<int32_t> val,
                              std::vector<int32_t> test) {
+  fingerprint_.Set(0);
   if (target_type_ < 0) {
     return Status::FailedPrecondition("SetTarget must be called first");
   }
@@ -202,6 +208,7 @@ bool HeteroGraph::IsMapped() const {
 }
 
 uint64_t HeteroGraph::ContentFingerprint() const {
+  if (const uint64_t memo = fingerprint_.Get(); memo != 0) return memo;
   // The byte sequence below is the canonical graph identity; the v3
   // container stores this exact hash in its header (computed while
   // streaming) so a mapped registration can skip the recompute.
@@ -234,6 +241,7 @@ uint64_t HeteroGraph::ContentFingerprint() const {
   f.Vec(train_index_);
   f.Vec(val_index_);
   f.Vec(test_index_);
+  fingerprint_.Set(f.h);
   return f.h;
 }
 

@@ -1,6 +1,7 @@
 #ifndef FREEHGC_GRAPH_HETERO_GRAPH_H_
 #define FREEHGC_GRAPH_HETERO_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -132,7 +133,9 @@ class HeteroGraph {
   /// features, labels, class count and splits. Two graphs with equal
   /// fingerprints are treated as interchangeable by pipeline::ArtifactCache
   /// (the 64-bit collision risk is accepted; see DESIGN.md, "Pipeline").
-  /// Costs one linear pass over the graph — cheap next to any SpGEMM.
+  /// The first call costs one linear pass over the graph; the result is
+  /// memoized in the graph itself (copies carry it) until a mutator
+  /// resets it. Like every accessor, not synchronized against mutators.
   uint64_t ContentFingerprint() const;
 
   /// Classifies every type into root/father/leaf by BFS distance from the
@@ -157,6 +160,32 @@ class HeteroGraph {
       const std::vector<std::vector<int32_t>>& keep) const;
 
  private:
+  /// ContentFingerprint memo; 0 = not computed yet. Atomic so concurrent
+  /// first calls on a shared const graph are race-free (each stores the
+  /// same value); copyable so HeteroGraph keeps its default copy/move.
+  class FingerprintMemo {
+   public:
+    FingerprintMemo() = default;
+    FingerprintMemo(const FingerprintMemo& o) : v_(o.Get()) {}
+    FingerprintMemo(FingerprintMemo&& o) noexcept : v_(o.Get()) { o.Set(0); }
+    FingerprintMemo& operator=(const FingerprintMemo& o) {
+      Set(o.Get());
+      return *this;
+    }
+    FingerprintMemo& operator=(FingerprintMemo&& o) noexcept {
+      const uint64_t v = o.Get();
+      o.Set(0);  // the moved-from graph's content is gone
+      Set(v);
+      return *this;
+    }
+    uint64_t Get() const { return v_.load(); }
+    void Set(uint64_t v) { v_.store(v); }
+
+   private:
+    std::atomic<uint64_t> v_{0};
+  };
+
+  mutable FingerprintMemo fingerprint_;
   std::vector<std::string> type_names_;
   std::vector<int32_t> type_counts_;
   std::unordered_map<std::string, TypeId> type_index_;

@@ -38,6 +38,11 @@ struct PropagateOptions {
   int64_t max_row_nnz = 512;
 };
 
+/// The meta-paths `opts` selects: EnumerateMetaPaths from the graph's
+/// target type under opts' hop, path and row-nnz caps.
+std::vector<MetaPath> PropagationPaths(const HeteroGraph& g,
+                                       const PropagateOptions& opts);
+
 /// Enumerates meta-paths from the graph's target type and mean-propagates
 /// features along each (Eq. 1 composition). The returned block layout is a
 /// function of the *schema*, so a condensed graph produced from `g`

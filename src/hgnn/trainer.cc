@@ -14,13 +14,9 @@ EvalContext BuildEvalContext(const HeteroGraph& full,
   EvalContext ctx;
   ctx.full = &full;
   ctx.options = opts;
-  MetaPathOptions mp_opts;
-  mp_opts.max_hops = opts.max_hops;
-  mp_opts.max_paths = opts.max_paths;
-  mp_opts.max_row_nnz = opts.max_row_nnz;
-  ctx.paths = EnumerateMetaPaths(full, full.target_type(), mp_opts);
-  ctx.full_features =
-      PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec, cache);
+  ctx.paths = PropagationPaths(full, opts);
+  ctx.full_features = std::make_shared<const PropagatedFeatures>(
+      PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec, cache));
   return ctx;
 }
 
@@ -33,13 +29,13 @@ EvalMetrics RunTraining(const EvalContext& ctx,
                         const HgnnConfig& config) {
   FREEHGC_CHECK(ctx.full != nullptr);
   const HeteroGraph& full = *ctx.full;
-  FREEHGC_CHECK(train_blocks.size() == ctx.full_features.blocks.size());
+  FREEHGC_CHECK(train_blocks.size() == ctx.full_features->blocks.size());
 
   std::vector<int64_t> block_dims;
-  for (const auto& b : ctx.full_features.blocks) {
+  for (const auto& b : ctx.full_features->blocks) {
     block_dims.push_back(b.cols());
   }
-  HgnnModel model(config, block_dims, ctx.full_features.end_types,
+  HgnnModel model(config, block_dims, ctx.full_features->end_types,
                   full.num_classes());
   nn::Adam opt(config.lr);
   auto params = model.Params();
@@ -73,7 +69,7 @@ EvalMetrics RunTraining(const EvalContext& ctx,
 
     if (epoch % eval_every == 0 || epoch == config.epochs) {
       Matrix full_logits =
-          model.Forward(ctx.full_features.blocks, /*train=*/false);
+          model.Forward(ctx.full_features->blocks, /*train=*/false);
       const float val_acc =
           val_idx.empty()
               ? nn::Accuracy(full_logits, full.labels(), test_idx)
@@ -110,7 +106,7 @@ EvalMetrics TrainAndEvaluate(const EvalContext& ctx,
                  : PropagateAlongPaths(train_graph, ctx.paths,
                                        ctx.options.max_row_nnz, ex);
   const PropagatedFeatures& train_feats =
-      self_train ? ctx.full_features : train_features;
+      self_train ? *ctx.full_features : train_features;
   return RunTraining(ctx, train_feats.blocks, train_graph.labels(),
                      train_graph.train_index(), config);
 }

@@ -1,6 +1,7 @@
 #ifndef FREEHGC_HGNN_TRAINER_H_
 #define FREEHGC_HGNN_TRAINER_H_
 
+#include <memory>
 #include <vector>
 
 #include "graph/hetero_graph.h"
@@ -25,11 +26,13 @@ struct EvalMetrics {
 /// the enumerated meta-path list and the full graph's propagated feature
 /// blocks. Built once, then reused across every condensation method and
 /// every evaluator model — this mirrors the paper's protocol where the
-/// test graph never changes.
+/// test graph never changes. Copies are cheap: the blocks are shared,
+/// and when they come from pipeline::ArtifactCache::Propagated, holding
+/// the context is holding the cache entry's pin.
 struct EvalContext {
   const HeteroGraph* full = nullptr;  // borrowed; must outlive the context
   std::vector<MetaPath> paths;
-  PropagatedFeatures full_features;
+  std::shared_ptr<const PropagatedFeatures> full_features;
   PropagateOptions options;
 };
 

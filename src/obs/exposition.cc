@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -16,10 +15,6 @@ std::string I64(int64_t v) {
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   return buf;
 }
-
-/// Upper bound (inclusive) of power-of-two bucket b; see
-/// Histogram::BucketIndex.
-int64_t BucketUpper(int b) { return b == 0 ? 1 : (int64_t{1} << b); }
 
 }  // namespace
 
@@ -59,7 +54,7 @@ std::string PrometheusText(const MetricsRegistry& reg) {
           const int64_t n = h.BucketCount(b);
           if (n == 0) continue;
           cum += n;
-          out += p + "_bucket{le=\"" + I64(BucketUpper(b)) + "\"} " +
+          out += p + "_bucket{le=\"" + I64(Histogram::BucketUpper(b)) + "\"} " +
                  I64(cum) + "\n";
         }
         out += p + "_bucket{le=\"+Inf\"} " + I64(cum) + "\n";
@@ -139,39 +134,6 @@ std::vector<std::pair<double, double>> PromBuckets(
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-double QuantileFromCumulativeBuckets(
-    const std::vector<std::pair<double, double>>& buckets, double q) {
-  if (buckets.empty()) return 0.0;
-  const double total = buckets.back().second;
-  if (total <= 0.0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  double rank = q * total;
-  if (rank < 1.0) rank = 1.0;
-  double prev_bound = 0.0;
-  double prev_cum = 0.0;
-  for (const auto& [bound, cum] : buckets) {
-    if (cum >= rank) {
-      const double in_bucket = cum - prev_cum;
-      if (in_bucket <= 0.0) return bound;
-      if (std::isinf(bound)) return prev_bound;  // overflow bucket
-      // The exposition omits empty buckets, so the previous *emitted*
-      // bound can sit well below this bucket's true lower edge — e.g. an
-      // overload tail whose observations all land in one high bucket.
-      // Bounds are powers of two: the edge is bound/2 (0 for the first
-      // bucket), exactly the lower Histogram::ApproxQuantile interpolates
-      // from server-side.
-      const double lower =
-          std::max(prev_bound, bound > 1.0 ? bound / 2.0 : 0.0);
-      const double frac = (rank - prev_cum) / in_bucket;
-      return lower + frac * (bound - lower);
-    }
-    prev_bound = bound;
-    prev_cum = cum;
-  }
-  return prev_bound;
 }
 
 }  // namespace freehgc::obs

@@ -62,12 +62,8 @@ bool FindPromValue(const std::vector<PromSample>& samples,
 std::vector<std::pair<double, double>> PromBuckets(
     const std::vector<PromSample>& samples, const std::string& base_name);
 
-/// q-quantile (q in [0, 1]) from cumulative histogram buckets, with
-/// linear interpolation inside the winning bucket — the same estimate
-/// Histogram::ApproxQuantile computes server-side, reconstructed from a
-/// scraped snapshot. Returns 0 for an empty histogram.
-double QuantileFromCumulativeBuckets(
-    const std::vector<std::pair<double, double>>& buckets, double q);
+// QuantileFromCumulativeBuckets (obs/metrics.h) turns PromBuckets into
+// the same quantile estimate Histogram::ApproxQuantile reports.
 
 }  // namespace freehgc::obs
 

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace freehgc::obs {
@@ -32,31 +34,49 @@ std::string I64(int64_t v) {
 }  // namespace
 
 int64_t Histogram::ApproxQuantile(double q) const {
-  const int64_t total = Count();
-  if (total <= 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-th sample (1-based, ceiling), then walk the buckets.
-  int64_t rank = static_cast<int64_t>(q * static_cast<double>(total));
-  if (rank < 1) rank = 1;
-  if (rank > total) rank = total;
+  // The buckets exactly as PrometheusText lists them (one load per
+  // bucket, empty ones skipped), so scrape and server share one estimate.
+  std::vector<std::pair<double, double>> buckets;
   int64_t cum = 0;
   for (int b = 0; b < kBuckets; ++b) {
     const int64_t n = BucketCount(b);
     if (n == 0) continue;
-    if (cum + n >= rank) {
-      // Bucket b holds values in (lower, upper]; interpolate by the
-      // sample's position inside the bucket.
-      const int64_t upper = b == 0 ? 1 : (int64_t{1} << b);
-      const int64_t lower = b <= 1 ? (b == 0 ? 0 : 1) : (int64_t{1} << (b - 1));
-      const double frac =
-          static_cast<double>(rank - cum) / static_cast<double>(n);
-      return lower +
-             static_cast<int64_t>(frac * static_cast<double>(upper - lower));
-    }
     cum += n;
+    buckets.emplace_back(static_cast<double>(BucketUpper(b)),
+                         static_cast<double>(cum));
   }
-  return Sum() / total;  // counts raced with buckets; fall back to mean
+  return static_cast<int64_t>(QuantileFromCumulativeBuckets(buckets, q));
+}
+
+double QuantileFromCumulativeBuckets(
+    const std::vector<std::pair<double, double>>& buckets, double q) {
+  if (buckets.empty()) return 0.0;
+  const double total = buckets.back().second;
+  if (total <= 0.0) return 0.0;
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  double rank = q * total;
+  if (rank < 1.0) rank = 1.0;
+  double prev_bound = 0.0;
+  double prev_cum = 0.0;
+  for (const auto& [bound, cum] : buckets) {
+    if (cum >= rank) {
+      const double in_bucket = cum - prev_cum;
+      if (in_bucket <= 0.0) return bound;
+      if (std::isinf(bound)) return prev_bound;  // overflow bucket
+      // Empty buckets are omitted, so the previous listed bound can sit
+      // well below this bucket's true lower edge — e.g. an overload tail
+      // whose observations all land in one high bucket. Bounds are powers
+      // of two: the edge is bound/2 (0 for the first bucket).
+      const double lower =
+          std::max(prev_bound, bound > 1.0 ? bound / 2.0 : 0.0);
+      const double frac = (rank - prev_cum) / in_bucket;
+      return lower + frac * (bound - lower);
+    }
+    prev_bound = bound;
+    prev_cum = cum;
+  }
+  return prev_bound;
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

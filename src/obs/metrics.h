@@ -9,6 +9,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace freehgc::obs {
 
@@ -106,13 +108,20 @@ class Histogram {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   }
 
-  /// Approximate q-quantile (q in [0, 1]) from the bucket counts: finds
-  /// the bucket holding the q-th sample and interpolates linearly inside
-  /// it, so the error is bounded by the bucket width (a factor of two).
-  /// Returns 0 for an empty histogram. Serving-layer latency summaries
-  /// (p50/p95/p99 at shutdown) are the primary consumer; exact
-  /// percentiles, where needed, come from raw samples (bench_serve_load).
+  /// Approximate q-quantile (q in [0, 1]) from the bucket counts:
+  /// QuantileFromCumulativeBuckets over the buckets a Prometheus scrape
+  /// exposes, truncated to an integer — so a scraped estimate and the
+  /// server's agree up to that truncation. The error is bounded by the
+  /// bucket width (a factor of two). Returns 0 for an empty histogram.
+  /// Serving-layer latency summaries (p50/p95/p99 at shutdown) are the
+  /// primary consumer; exact percentiles, where needed, come from raw
+  /// samples (bench_serve_load).
   int64_t ApproxQuantile(double q) const;
+
+  /// Upper bound (inclusive) of bucket b: 1 for b = 0, else 2^b.
+  static int64_t BucketUpper(int b) {
+    return b == 0 ? 1 : (int64_t{1} << b);
+  }
 
   /// Bucket for value v: 0 for v <= 1, otherwise floor(log2(v - 1)) + 1,
   /// clamped to the last bucket.
@@ -144,6 +153,14 @@ class Histogram {
   std::atomic<int64_t> sum_{0};
   std::array<std::atomic<int64_t>, kBuckets> buckets_{};
 };
+
+/// q-quantile (q in [0, 1]) from cumulative (upper_bound,
+/// cumulative_count) buckets sorted by bound — a scraped snapshot
+/// (obs::PromBuckets) or a Histogram's own. The q-th sample's bucket is
+/// interpolated linearly from its lower edge (bound / 2, or 0 for the
+/// first bucket) to its bound. Returns 0 for an empty histogram.
+double QuantileFromCumulativeBuckets(
+    const std::vector<std::pair<double, double>>& buckets, double q);
 
 /// Chunk-local histogram accumulator: plain integer bumps per sample,
 /// one batched atomic flush at chunk end. Per-chunk-then-flush keeps the

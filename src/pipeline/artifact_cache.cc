@@ -39,7 +39,9 @@ uint64_t KeyHash(const std::tuple<uint64_t, uint64_t, int64_t>& key) {
   return h;
 }
 
-size_t PropagatedOwnedBytes(const hgnn::PropagatedFeatures& f) {
+size_t OwnedBytes(const CsrMatrix& m) { return m.OwnedBytes(); }
+
+size_t OwnedBytes(const hgnn::PropagatedFeatures& f) {
   size_t bytes = 0;
   for (const auto& b : f.blocks) bytes += b.OwnedBytes();
   return bytes;
@@ -158,26 +160,6 @@ Status ArtifactCache::ConfigureSpill(const SpillOptions& opts) {
   return Status::OK();
 }
 
-uint64_t ArtifactCache::FingerprintOf(const HeteroGraph& g) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = fp_memo_.find(&g);
-    if (it != fp_memo_.end() && it->second.total_nodes == g.TotalNodes() &&
-        it->second.total_edges == g.TotalEdges() &&
-        it->second.num_relations == g.NumRelations()) {
-      return it->second.fingerprint;
-    }
-  }
-  FpEntry e;
-  e.fingerprint = g.ContentFingerprint();
-  e.total_nodes = g.TotalNodes();
-  e.total_edges = g.TotalEdges();
-  e.num_relations = g.NumRelations();
-  std::lock_guard<std::mutex> lock(mu_);
-  fp_memo_[&g] = e;
-  return e.fingerprint;
-}
-
 std::string ArtifactCache::AdjSpillPath(const AdjKey& key) const {
   return HexKeyPath(spill_.spill_dir, "adj", key);
 }
@@ -186,41 +168,81 @@ std::string ArtifactCache::PropSpillPath(const PropKey& key) const {
   return HexKeyPath(spill_.spill_dir, "prop", key);
 }
 
+template <typename T, typename Key>
+std::shared_ptr<const T> ArtifactCache::FindOrClaim(
+    std::unique_lock<std::mutex>& lock, std::map<Key, Entry<T>>& tier,
+    const Key& key, std::string* spill_path) {
+  for (;;) {
+    // Re-find after every wait: a Clear() may have dropped the entry.
+    Entry<T>& e = tier[key];
+    if (e.value != nullptr) {
+      RecordHit();
+      e.tick = ++tick_;
+      return e.value;
+    }
+    if (!e.filling) {
+      e.filling = true;
+      *spill_path = e.spill_path;
+      return nullptr;
+    }
+    filled_.wait(lock);
+  }
+}
+
+template <typename T, typename Key>
+std::shared_ptr<const T> ArtifactCache::Publish(
+    std::map<Key, Entry<T>>& tier, const Key& key,
+    std::shared_ptr<const T> value, bool restored,
+    const std::string& spool_path, uint64_t spool_bytes) {
+  std::shared_ptr<const T> out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry<T>& e = tier[key];
+    e.filling = false;
+    e.value = std::move(value);
+    e.owned_bytes = OwnedBytes(*e.value);
+    AddResident(e.owned_bytes);
+    e.tick = ++tick_;
+    if (restored) {
+      ++stats_.restores;
+      RestoreCounter().Increment();
+      RecordHit();
+    } else {
+      RecordMiss();
+    }
+    if (!spool_path.empty()) {
+      // Spool-through build: the file already is this entry's spill copy.
+      e.spill_path = spool_path;
+      ++stats_.spills;
+      stats_.spill_bytes += spool_bytes;
+      SpillCounter().Increment();
+      SpillBytesCounter().Add(static_cast<int64_t>(spool_bytes));
+    }
+    out = e.value;
+  }
+  filled_.notify_all();
+  TrimToBudget();
+  return out;
+}
+
 std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
     const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
     exec::ExecContext* ctx) {
-  const AdjKey key{FingerprintOf(g), PathSignature(p), max_row_nnz};
+  const AdjKey key{g.ContentFingerprint(), PathSignature(p), max_row_nnz};
   std::string spilled_path;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = adjacencies_.find(key);
-    if (it != adjacencies_.end()) {
-      if (it->second.value != nullptr) {
-        RecordHit();
-        it->second.tick = ++tick_;
-        return it->second.value;
-      }
-      spilled_path = it->second.spill_path;
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    auto hit = FindOrClaim(lock, adjacencies_, key, &spilled_path);
+    if (hit != nullptr) return hit;
   }
   if (!spilled_path.empty()) {
     // Spill-tier hit: restore as a zero-copy mapped view (bit-identical
     // to the owned entry, ~0 heap — it never needs evicting again).
     Result<CsrMatrix> restored = section_io::MapCsrSpill(spilled_path);
     if (restored.ok()) {
-      auto sp = std::make_shared<const CsrMatrix>(std::move(*restored));
-      std::lock_guard<std::mutex> lock(mu_);
-      AdjEntry& e = adjacencies_[key];
-      if (e.value == nullptr) {
-        e.value = sp;
-        e.owned_bytes = sp->OwnedBytes();
-        AddResident(e.owned_bytes);
-        ++stats_.restores;
-        RestoreCounter().Increment();
-      }
-      RecordHit();
-      e.tick = ++tick_;
-      return e.value;
+      return Publish(adjacencies_, key,
+                     std::make_shared<const CsrMatrix>(std::move(*restored)),
+                     /*restored=*/true);
     }
     FREEHGC_LOG(Warning) << "adjacency restore failed (" << spilled_path
                          << "): " << restored.status().message()
@@ -228,59 +250,31 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
   }
   // Compose outside the lock: the SpGEMM chain is the expensive part and
   // must not serialize unrelated lookups.
-  auto composed = std::make_shared<const CsrMatrix>(
-      ComposeAdjacency(g, p, max_row_nnz, ctx));
-  std::shared_ptr<const CsrMatrix> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    AdjEntry& e = adjacencies_[key];
-    RecordMiss();
-    if (e.value == nullptr) {
-      e.value = std::move(composed);
-      e.owned_bytes = e.value->OwnedBytes();
-      AddResident(e.owned_bytes);
-    }
-    e.tick = ++tick_;
-    out = e.value;
-  }
-  TrimToBudget();
-  return out;
+  return Publish(adjacencies_, key,
+                 std::make_shared<const CsrMatrix>(
+                     ComposeAdjacency(g, p, max_row_nnz, ctx)),
+                 /*restored=*/false);
 }
 
 std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
     const HeteroGraph& g, const std::vector<MetaPath>& paths,
-    int64_t max_row_nnz, exec::ExecContext* ctx) {
-  const PropKey key{FingerprintOf(g), PathListSignature(paths), max_row_nnz};
+    int64_t max_row_nnz, exec::ExecContext* ctx, bool* built) {
+  if (built != nullptr) *built = false;
+  const PropKey key{g.ContentFingerprint(), PathListSignature(paths),
+                    max_row_nnz};
   std::string spilled_path;
   bool stream;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = propagated_.find(key);
-    if (it != propagated_.end()) {
-      if (it->second.value != nullptr) {
-        RecordHit();
-        it->second.tick = ++tick_;
-        return it->second.value;
-      }
-      spilled_path = it->second.spill_path;
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    auto hit = FindOrClaim(lock, propagated_, key, &spilled_path);
+    if (hit != nullptr) return hit;
     stream = spill_enabled_ && spill_.resident_bytes_budget != SIZE_MAX;
   }
   if (!spilled_path.empty()) {
     auto restored = hgnn::MapPropagatedSpill(spilled_path);
     if (restored.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      PropEntry& e = propagated_[key];
-      if (e.value == nullptr) {
-        e.value = std::move(*restored);
-        e.owned_bytes = PropagatedOwnedBytes(*e.value);
-        AddResident(e.owned_bytes);
-        ++stats_.restores;
-        RestoreCounter().Increment();
-      }
-      RecordHit();
-      e.tick = ++tick_;
-      return e.value;
+      return Publish(propagated_, key, std::move(*restored),
+                     /*restored=*/true);
     }
     FREEHGC_LOG(Warning) << "propagated restore failed (" << spilled_path
                          << "): " << restored.status().message()
@@ -289,6 +283,7 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
 
   // The per-path compositions inside the miss route back through this
   // cache, so a later Composed() over the same graph/paths also hits.
+  if (built != nullptr) *built = true;
   std::shared_ptr<const hgnn::PropagatedFeatures> features;
   std::string path;
   uint64_t file_bytes = 0;
@@ -332,36 +327,26 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
     features = std::make_shared<const hgnn::PropagatedFeatures>(
         hgnn::PropagateAlongPaths(g, paths, max_row_nnz, ctx, this));
   }
-  std::shared_ptr<const hgnn::PropagatedFeatures> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PropEntry& e = propagated_[key];
-    RecordMiss();
-    if (e.value == nullptr) {
-      e.value = std::move(features);
-      e.owned_bytes = PropagatedOwnedBytes(*e.value);
-      AddResident(e.owned_bytes);
-      if (!path.empty()) {
-        // Spool-through build: the file already is this entry's spill
-        // copy.
-        e.spill_path = path;
-        ++stats_.spills;
-        stats_.spill_bytes += file_bytes;
-        SpillCounter().Increment();
-        SpillBytesCounter().Add(static_cast<int64_t>(file_bytes));
-      }
-    }
-    e.tick = ++tick_;
-    out = e.value;
-  }
-  TrimToBudget();
+  return Publish(propagated_, key, std::move(features), /*restored=*/false,
+                 path, file_bytes);
+}
+
+hgnn::EvalContext ArtifactCache::EvalContextFor(
+    const HeteroGraph& g, const hgnn::PropagateOptions& opts,
+    exec::ExecContext* ctx, bool* built) {
+  hgnn::EvalContext out;
+  out.full = &g;
+  out.options = opts;
+  out.paths = hgnn::PropagationPaths(g, opts);
+  out.full_features = Propagated(g, out.paths, opts.max_row_nnz, ctx, built);
   return out;
 }
 
 hgnn::EvalMetrics ArtifactCache::WholeGraphBaseline(
     const hgnn::EvalContext& ctx, const hgnn::HgnnConfig& config,
     exec::ExecContext* ex) {
-  const BaselineKey key{FingerprintOf(*ctx.full), ConfigSignature(config)};
+  const BaselineKey key{ctx.full->ContentFingerprint(),
+                        ConfigSignature(config)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = baselines_.find(key);
@@ -513,7 +498,6 @@ void ArtifactCache::Clear() {
   for (const auto& [key, e] : propagated_) {
     if (!e.spill_path.empty()) std::remove(e.spill_path.c_str());
   }
-  fp_memo_.clear();
   adjacencies_.clear();
   propagated_.clear();
   baselines_.clear();

@@ -1,12 +1,12 @@
 #ifndef FREEHGC_PIPELINE_ARTIFACT_CACHE_H_
 #define FREEHGC_PIPELINE_ARTIFACT_CACHE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -25,10 +25,11 @@ namespace freehgc::pipeline {
 /// blocks, and whole-graph training baselines.
 ///
 /// Keying: every entry is keyed by the graph's 64-bit ContentFingerprint
-/// plus the computation's parameters (path signature + max_row_nnz for
-/// adjacencies; path-list signature for propagation; HgnnConfig signature
-/// for baselines). A changed graph changes its fingerprint, so stale
-/// entries are unreachable rather than invalidated. Determinism
+/// (memoized by the graph itself) plus the computation's parameters (path
+/// signature + max_row_nnz for adjacencies; path-list signature for
+/// propagation; HgnnConfig signature for baselines). A changed graph
+/// changes its fingerprint, so stale entries are unreachable rather than
+/// invalidated. Entries never pin a graph. Determinism
 /// invariant: every cached value is the exact output of a deterministic
 /// computation, so cached and uncached runs are bit-identical
 /// (tests/pipeline_test.cc) — and so are spilled-and-restored runs
@@ -51,6 +52,13 @@ namespace freehgc::pipeline {
 /// (use_count > 1) is never spilled; eviction considers it once every
 /// outside pin is released. Callers hold the pin across every use of the
 /// value and drop it when done (see metapath::AdjacencyCache).
+///
+/// Single flight: concurrent misses on one Composed or Propagated key
+/// wait for the first caller's build (or restore) instead of repeating
+/// it, so each key misses once. Waits cannot cycle: adjacency builds
+/// never call the cache, and propagated builds wait only on adjacencies.
+/// A build that throws keeps its claim; no caller in this library catches
+/// such an exception, so it ends the process before anyone could wait.
 ///
 /// Thread-safe. Hit/miss/bytes are mirrored into the obs registry as
 /// pipeline.cache.{hits,misses,spills,restores,spill_bytes} counters and
@@ -90,20 +98,26 @@ class ArtifactCache final : public AdjacencyCache {
   /// (what hgnn::BuildEvalContext computes). The path compositions inside
   /// a miss also route through this cache. Under a finite budget, a miss
   /// streams blocks through a spool file instead of materializing them.
+  /// `built` (optional) reports whether this call computed the blocks.
   std::shared_ptr<const hgnn::PropagatedFeatures> Propagated(
       const HeteroGraph& g, const std::vector<MetaPath>& paths,
-      int64_t max_row_nnz, exec::ExecContext* ctx);
+      int64_t max_row_nnz, exec::ExecContext* ctx, bool* built = nullptr);
+
+  /// hgnn::BuildEvalContext over this cache: the path list `opts`
+  /// selects and Propagated's shared blocks for it. The context borrows
+  /// `g` and pins the blocks, so hold it only while `g` is alive and
+  /// drop it when done; requests whose options select the same path
+  /// list share one entry. `built` as for Propagated.
+  hgnn::EvalContext EvalContextFor(const HeteroGraph& g,
+                                   const hgnn::PropagateOptions& opts,
+                                   exec::ExecContext* ctx,
+                                   bool* built = nullptr);
 
   /// Whole-graph train-and-evaluate baseline for (ctx.full, config).
   /// Training is deterministic given config, so the metrics are exact.
   hgnn::EvalMetrics WholeGraphBaseline(const hgnn::EvalContext& ctx,
                                        const hgnn::HgnnConfig& config,
                                        exec::ExecContext* ex);
-
-  /// Memoized ContentFingerprint. The memo is keyed by address and
-  /// re-verified against cheap structural stats (node/edge/relation
-  /// counts), so a graph object rebuilt at a reused address re-hashes.
-  uint64_t FingerprintOf(const HeteroGraph& g);
 
   /// Spills cold unpinned entries until the resident tier fits the
   /// budget. Runs automatically after inserts/restores; exposed so a
@@ -129,17 +143,11 @@ class ArtifactCache final : public AdjacencyCache {
   };
   Stats stats() const;
 
-  /// Drops every entry (and the fingerprint memo), unlinks every spool
-  /// file this cache wrote; stats reset too.
+  /// Drops every entry, unlinks every spool file this cache wrote; stats
+  /// reset too.
   void Clear();
 
  private:
-  struct FpEntry {
-    uint64_t fingerprint = 0;
-    int64_t total_nodes = 0;
-    int64_t total_edges = 0;
-    int32_t num_relations = 0;
-  };
   /// (graph fp, path signature, max_row_nnz).
   using AdjKey = std::tuple<uint64_t, uint64_t, int64_t>;
   /// (graph fp, path-list signature, max_row_nnz).
@@ -157,6 +165,7 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
     uint64_t tick = 0;    ///< LRU stamp (monotonic touch counter)
     bool spilling = false;  ///< spool write in flight; skip re-planning
+    bool filling = false;   ///< a caller is building/restoring the value
   };
   using AdjEntry = Entry<CsrMatrix>;
   using PropEntry = Entry<hgnn::PropagatedFeatures>;
@@ -174,6 +183,26 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
   };
 
+  /// Single-flight lookup (mu_ held via `lock`): a resident value is a
+  /// hit; otherwise the first caller claims the entry and gets null (and
+  /// the spool file to restore from, if any, in `spill_path`) while later
+  /// callers wait for the claimant's Publish.
+  template <typename T, typename Key>
+  std::shared_ptr<const T> FindOrClaim(std::unique_lock<std::mutex>& lock,
+                                       std::map<Key, Entry<T>>& tier,
+                                       const Key& key,
+                                       std::string* spill_path);
+  /// Stores a claimed entry's value (a restore counts as a hit, a build
+  /// as a miss; `spool_path` names a streamed build's spill copy), wakes
+  /// the waiters and trims to budget.
+  template <typename T, typename Key>
+  std::shared_ptr<const T> Publish(std::map<Key, Entry<T>>& tier,
+                                   const Key& key,
+                                   std::shared_ptr<const T> value,
+                                   bool restored,
+                                   const std::string& spool_path = {},
+                                   uint64_t spool_bytes = 0);
+
   void RecordHit();
   void RecordMiss();
   void UpdateByteGauges();
@@ -189,7 +218,7 @@ class ArtifactCache final : public AdjacencyCache {
   void ExecuteEvictions(std::vector<SpillJob> jobs);
 
   mutable std::mutex mu_;
-  std::unordered_map<const HeteroGraph*, FpEntry> fp_memo_;
+  std::condition_variable filled_;  ///< signalled by every Publish
   std::map<AdjKey, AdjEntry> adjacencies_;
   std::map<PropKey, PropEntry> propagated_;
   std::map<BaselineKey, hgnn::EvalMetrics> baselines_;

@@ -128,23 +128,11 @@ Result<SweepResult> SweepRunner::Run() {
                          : std::min(3, datasets::RecommendedHops(ds.name));
     popts.max_paths = ds.max_paths;
 
-    hgnn::EvalContext ctx;
-    if (cache != nullptr) {
-      // Same construction as hgnn::BuildEvalContext, but the propagated
-      // feature blocks come from (and land in) the sweep's cache, so a
-      // repeated sweep skips even the dense propagation.
-      ctx.full = &graph;
-      ctx.options = popts;
-      MetaPathOptions mp_opts;
-      mp_opts.max_hops = popts.max_hops;
-      mp_opts.max_paths = popts.max_paths;
-      mp_opts.max_row_nnz = popts.max_row_nnz;
-      ctx.paths = EnumerateMetaPaths(graph, graph.target_type(), mp_opts);
-      ctx.full_features =
-          *cache->Propagated(graph, ctx.paths, popts.max_row_nnz, &ex);
-    } else {
-      ctx = hgnn::BuildEvalContext(graph, popts, &ex, nullptr);
-    }
+    // With a cache, the propagated blocks come from (and land in) it, so
+    // a repeated sweep skips even the dense propagation.
+    const hgnn::EvalContext ctx =
+        cache != nullptr ? cache->EvalContextFor(graph, popts, &ex)
+                         : hgnn::BuildEvalContext(graph, popts, &ex);
 
     for (hgnn::HgnnKind model : spec_.models) {
       hgnn::HgnnConfig cfg = spec_.eval_cfg;

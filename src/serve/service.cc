@@ -12,16 +12,6 @@
 
 namespace freehgc::serve {
 
-/// One coalesced evaluation context. `graph` keeps the resident copy
-/// alive for as long as the entry exists (EvalContext::full borrows it),
-/// so a Remove from the store cannot invalidate a cached context.
-struct ServeService::EvalEntry {
-  std::once_flag once;
-  GraphStore::GraphRef graph;
-  uint64_t fingerprint = 0;
-  hgnn::EvalContext ctx;
-};
-
 ServeService::ServeService(ServeOptions options)
     : options_(std::move(options)), start_ns_(obs::NowNs()) {
   if (!options_.access_log_path.empty()) {
@@ -55,7 +45,12 @@ ServeService::ServeService(ServeOptions options)
   scheduler_ = std::make_unique<RequestScheduler>(
       sched_opts,
       [this](const CondenseRequest& request, const RequestContext& rctx) {
-        return Execute(request, rctx);
+        Result<CondenseReply> reply = Execute(request, rctx);
+        // Execute's pins are released now; spill anything its inserts
+        // could not evict, so the resident gauge is back under budget by
+        // the time anyone scrapes it.
+        cache_.TrimToBudget();
+        return reply;
       });
   if (options_.coalesce_requests) {
     // Work identity for request coalescing. Everything Execute() reads
@@ -152,56 +147,6 @@ bool ServeService::Cancel(uint64_t id) { return scheduler_->Cancel(id); }
 
 void ServeService::Shutdown(ShutdownMode mode) { scheduler_->Shutdown(mode); }
 
-std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
-    const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-    exec::ExecContext* ctx, bool* built) {
-  const uint64_t fp = cache_.FingerprintOf(*graph);
-  const EvalKey key{fp, opts.max_hops, opts.max_paths, opts.max_row_nnz};
-  std::shared_ptr<EvalEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(eval_mu_);
-    auto& slot = eval_contexts_[key];
-    if (!slot) slot = std::make_shared<EvalEntry>();
-    entry = slot;
-  }
-  // The first request through builds; concurrent duplicates block here
-  // instead of each paying the SpGEMM + propagation cost.
-  bool built_here = false;
-  std::call_once(entry->once, [&] {
-    FREEHGC_TRACE_SPAN("serve.build_eval_context");
-    entry->graph = graph;
-    entry->fingerprint = fp;
-    if (cache_.spill_enabled()) {
-      // Spillable build: same construction as hgnn::BuildEvalContext,
-      // but the propagated blocks come from the tiered cache — streamed
-      // through a spool file under a finite budget, and view-backed
-      // (≈0 heap) when restored — so the EvalContext path works under a
-      // heap cap. Matrix copies of view-backed blocks share the mapping.
-      entry->ctx.full = graph.get();
-      entry->ctx.options = opts;
-      MetaPathOptions mp_opts;
-      mp_opts.max_hops = opts.max_hops;
-      mp_opts.max_paths = opts.max_paths;
-      mp_opts.max_row_nnz = opts.max_row_nnz;
-      entry->ctx.paths =
-          EnumerateMetaPaths(*graph, graph->target_type(), mp_opts);
-      entry->ctx.full_features =
-          *cache_.Propagated(*graph, entry->ctx.paths, opts.max_row_nnz, ctx);
-    } else {
-      entry->ctx = hgnn::BuildEvalContext(*graph, opts, ctx, &cache_);
-    }
-    built_here = true;
-    eval_context_builds_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global()
-        .GetCounter("serve.evalctx.builds")
-        .Increment();
-  });
-  obs::MetricsRegistry::Global().GetCounter("serve.evalctx.lookups")
-      .Increment();
-  if (built != nullptr) *built = built_here;
-  return entry;
-}
-
 Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
                                             const RequestContext& rctx) {
   exec::ExecContext* ctx = rctx.exec;
@@ -212,8 +157,17 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   popts.max_paths = request.max_paths;
   popts.max_row_nnz = request.max_row_nnz;
   bool built = false;
-  std::shared_ptr<EvalEntry> entry =
-      GetOrBuildEvalContext(graph, popts, ctx, &built);
+  hgnn::EvalContext eval;
+  {
+    FREEHGC_TRACE_SPAN("serve.eval_context");
+    eval = cache_.EvalContextFor(*graph, popts, ctx, &built);
+  }
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("serve.evalctx.lookups").Increment();
+  if (built) {
+    eval_context_builds_.fetch_add(1, std::memory_order_relaxed);
+    reg.GetCounter("serve.evalctx.builds").Increment();
+  }
 
   FREEHGC_ASSIGN_OR_RETURN(
       const pipeline::CondensationMethod* method,
@@ -226,12 +180,12 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   env.exec = ctx;
   env.cache = &cache_;
   FREEHGC_ASSIGN_OR_RETURN(pipeline::CondensedData data,
-                           method->Condense(entry->ctx, spec, env));
+                           method->Condense(eval, spec, env));
 
   CondenseReply reply;
   reply.request_id = rctx.id;
   reply.evalctx_hit = !built;
-  reply.graph_fingerprint = entry->fingerprint;
+  reply.graph_fingerprint = graph->ContentFingerprint();
   reply.condense_seconds = data.seconds;
   reply.storage_bytes = data.storage_bytes;
   if (!data.synthetic) {
@@ -246,8 +200,8 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
     cfg.seed = request.seed ^ 0xeea1ULL;
     const hgnn::EvalMetrics metrics =
         data.synthetic
-            ? hgnn::TrainOnBlocks(entry->ctx, data.blocks, data.labels, cfg)
-            : hgnn::TrainAndEvaluate(entry->ctx, data.graph, cfg, ctx);
+            ? hgnn::TrainOnBlocks(eval, data.blocks, data.labels, cfg)
+            : hgnn::TrainAndEvaluate(eval, data.graph, cfg, ctx);
     reply.evaluated = true;
     reply.accuracy = metrics.test_accuracy * 100.0f;
     reply.macro_f1 = metrics.macro_f1 * 100.0f;
@@ -263,10 +217,6 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
     FREEHGC_ASSIGN_OR_RETURN(reply.graph_bytes,
                              SerializeHeteroGraph(data.graph));
   }
-  // Pins taken during condensation are released now; spill anything the
-  // in-request inserts could not evict, so the resident gauge is back
-  // under budget by the time anyone scrapes it.
-  if (cache_.spill_enabled()) cache_.TrimToBudget();
   return reply;
 }
 

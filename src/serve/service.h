@@ -3,11 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <tuple>
 
 #include "hgnn/models.h"
 #include "hgnn/trainer.h"
@@ -62,7 +59,8 @@ struct ServeOptions {
   /// GraphStore::SetResidentBudget). SIZE_MAX = unlimited.
   size_t store_resident_budget_bytes = SIZE_MAX;
   /// Directory for artifact spool files. Non-empty enables the
-  /// ArtifactCache spill tier (and the spillable EvalContext build path).
+  /// ArtifactCache spill tier (under a finite budget, EvalContext feature
+  /// blocks then stream through spool files).
   std::string spill_dir;
   /// Spill-aware admission: when > 0 and a budget is configured, new
   /// submissions are shed with kResourceExhausted while a budgeted tier
@@ -81,17 +79,18 @@ struct ServeOptions {
 };
 
 /// The condensation service: a GraphStore of resident graphs, one shared
-/// ArtifactCache, a coalesced per-(graph, meta-path config) EvalContext
-/// cache, and a RequestScheduler whose work body runs MethodRegistry
-/// condensers against the shared state.
+/// ArtifactCache, and a RequestScheduler whose work body runs
+/// MethodRegistry condensers against the shared state.
 ///
-/// Coalescing: requests against the same (graph fingerprint, max_hops,
-/// max_paths, max_row_nnz) share one EvalContext — the expensive
-/// enumerate-paths + SpGEMM + propagate step runs once (the first request
-/// builds, concurrent duplicates block on the build, later ones hit), and
-/// the composed adjacencies inside it land in the ArtifactCache where
-/// condensation itself re-reads them. Determinism: all shared artifacts
-/// are outputs of deterministic kernels, so concurrent requests return
+/// Evaluation contexts: each request builds a cheap hgnn::EvalContext
+/// over ArtifactCache::EvalContextFor — the path list plus a pin on the
+/// cached propagated blocks. Requests whose graph and options select the
+/// same path list share one cache entry: the first builds it (the
+/// expensive SpGEMM + propagate step), concurrent duplicates wait on the
+/// cache's single-flight build, later ones hit. The request's GraphRef
+/// and the feature pin are released when it finishes, so a served graph
+/// stays evictable and removable. Determinism: all shared artifacts are
+/// outputs of deterministic kernels, so concurrent requests return
 /// results bit-identical to sequential execution (tests/serve_test.cc).
 class ServeService {
  public:
@@ -121,8 +120,9 @@ class ServeService {
 
   SchedulerStats scheduler_stats() const { return scheduler_->stats(); }
 
-  /// How many EvalContexts were actually built — the coalescing test
-  /// asserts this stays at 1 for K same-config requests.
+  /// How many requests built their EvalContext's propagated blocks (a
+  /// Propagated miss) — the coalescing test asserts this stays at 1 for
+  /// K same-config requests.
   int64_t eval_context_builds() const {
     return eval_context_builds_.load(std::memory_order_relaxed);
   }
@@ -140,16 +140,9 @@ class ServeService {
   const obs::AccessLog& access_log() const { return access_log_; }
 
  private:
-  struct EvalEntry;
-
   /// The scheduler work body (runs on a slot thread).
   Result<CondenseReply> Execute(const CondenseRequest& request,
                                 const RequestContext& rctx);
-  /// `built` (optional) reports whether this call built the entry (false
-  /// = coalescing-cache hit).
-  std::shared_ptr<EvalEntry> GetOrBuildEvalContext(
-      const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-      exec::ExecContext* ctx, bool* built = nullptr);
 
   const ServeOptions options_;
   GraphStore store_;
@@ -157,10 +150,6 @@ class ServeService {
   obs::AccessLog access_log_;  // before scheduler_: outlives its writers
   const int64_t start_ns_;
 
-  /// (graph fingerprint, max_hops, max_paths, max_row_nnz) -> entry.
-  using EvalKey = std::tuple<uint64_t, int, int, int64_t>;
-  std::mutex eval_mu_;
-  std::map<EvalKey, std::shared_ptr<EvalEntry>> eval_contexts_;
   std::atomic<int64_t> eval_context_builds_{0};
 
   std::unique_ptr<RequestScheduler> scheduler_;  // last: uses the above

@@ -105,9 +105,9 @@ TEST(GradientMatchingTest, OutputShapesMatchContext) {
   opts.relay_inits = 2;
   auto res = GradientMatchingCondense(ctx, opts);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  ASSERT_EQ(res->blocks.size(), ctx.full_features.blocks.size());
+  ASSERT_EQ(res->blocks.size(), ctx.full_features->blocks.size());
   for (size_t b = 0; b < res->blocks.size(); ++b) {
-    EXPECT_EQ(res->blocks[b].cols(), ctx.full_features.blocks[b].cols());
+    EXPECT_EQ(res->blocks[b].cols(), ctx.full_features->blocks[b].cols());
     EXPECT_EQ(res->blocks[b].rows(),
               static_cast<int64_t>(res->labels.size()));
   }

@@ -64,9 +64,9 @@ TEST(PropagateTest, CondensedGraphSharesBlockLayout) {
   ASSERT_TRUE(sub.ok());
   const PropagatedFeatures f =
       PropagateAlongPaths(*sub, ctx.paths, opts.max_row_nnz);
-  ASSERT_EQ(f.blocks.size(), ctx.full_features.blocks.size());
+  ASSERT_EQ(f.blocks.size(), ctx.full_features->blocks.size());
   for (size_t p = 0; p < f.blocks.size(); ++p) {
-    EXPECT_EQ(f.blocks[p].cols(), ctx.full_features.blocks[p].cols());
+    EXPECT_EQ(f.blocks[p].cols(), ctx.full_features->blocks[p].cols());
     EXPECT_EQ(f.blocks[p].rows(),
               sub->NodeCount(sub->target_type()));
   }
@@ -199,7 +199,7 @@ TEST(TrainerTest, TrainOnBlocksRunsOnSyntheticRows) {
   // Synthetic data: 12 rows copied from real propagated rows.
   std::vector<Matrix> blocks;
   std::vector<int32_t> rows = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  for (const auto& b : ctx.full_features.blocks) {
+  for (const auto& b : ctx.full_features->blocks) {
     blocks.push_back(b.GatherRows(rows));
   }
   std::vector<int32_t> labels;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,9 +135,9 @@ TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
   const auto f1 = cache.Propagated(g, ctx.paths, popts.max_row_nnz, nullptr);
   const auto f2 = cache.Propagated(g, ctx.paths, popts.max_row_nnz, nullptr);
   EXPECT_EQ(f1.get(), f2.get());
-  ASSERT_EQ(f1->blocks.size(), ctx.full_features.blocks.size());
+  ASSERT_EQ(f1->blocks.size(), ctx.full_features->blocks.size());
   for (size_t i = 0; i < f1->blocks.size(); ++i) {
-    EXPECT_EQ(f1->blocks[i], ctx.full_features.blocks[i]) << i;
+    EXPECT_EQ(f1->blocks[i], ctx.full_features->blocks[i]) << i;
   }
 
   hgnn::HgnnConfig cfg;
@@ -150,14 +153,142 @@ TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
 }
 
 TEST(ArtifactCacheTest, FingerprintDistinguishesGraphContent) {
-  ArtifactCache cache;
+  // The cache keys on HeteroGraph::ContentFingerprint, which the graph
+  // memoizes itself.
   const HeteroGraph a = datasets::MakeToy(7);
   const HeteroGraph b = datasets::MakeToy(7);
   const HeteroGraph c = datasets::MakeToy(8);
-  EXPECT_EQ(cache.FingerprintOf(a), cache.FingerprintOf(b));
-  EXPECT_NE(cache.FingerprintOf(a), cache.FingerprintOf(c));
+  EXPECT_EQ(a.ContentFingerprint(), b.ContentFingerprint());
+  EXPECT_NE(a.ContentFingerprint(), c.ContentFingerprint());
   // Memoized: repeated lookups agree.
-  EXPECT_EQ(cache.FingerprintOf(a), cache.FingerprintOf(a));
+  EXPECT_EQ(a.ContentFingerprint(), a.ContentFingerprint());
+
+  // Copies carry the memo; a mutator resets it.
+  HeteroGraph d = a;
+  EXPECT_EQ(d.ContentFingerprint(), a.ContentFingerprint());
+  const TypeId t = d.target_type();
+  Matrix f = d.Features(t);
+  f.At(0, 0) += 1.0f;
+  ASSERT_TRUE(d.SetFeatures(t, std::move(f)).ok());
+  EXPECT_NE(d.ContentFingerprint(), a.ContentFingerprint());
+  EXPECT_EQ(d.ContentFingerprint(), HeteroGraph(d).ContentFingerprint());
+}
+
+TEST(ArtifactCacheTest, GraphRebuiltAtFreedAddressGetsItsOwnArtifacts) {
+  // Graph A is cached, freed, and graph B (same shape, one feature
+  // changed) is built in the same storage. B must get B's artifacts,
+  // not A's: the cache keys on content, never on the address.
+  std::optional<HeteroGraph> slot;
+  slot.emplace(datasets::MakeToy(7));
+  const HeteroGraph* const address = &*slot;
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const std::vector<MetaPath> paths =
+      EnumerateMetaPaths(*slot, slot->target_type(), mp);
+  ASSERT_FALSE(paths.empty());
+
+  ArtifactCache cache;
+  cache.Propagated(*slot, paths, 512, nullptr);
+  cache.Composed(*slot, paths[0], 512, nullptr);
+  slot.reset();
+
+  HeteroGraph b = datasets::MakeToy(7);
+  const TypeId t = b.target_type();
+  Matrix f = b.Features(t);
+  f.At(0, 0) += 1.0f;
+  ASSERT_TRUE(b.SetFeatures(t, std::move(f)).ok());
+  slot.emplace(std::move(b));
+  ASSERT_EQ(&*slot, address);
+
+  const int64_t hits = cache.stats().hits;
+  const auto adj = cache.Composed(*slot, paths[0], 512, nullptr);
+  EXPECT_EQ(cache.stats().hits, hits) << "B was served A's adjacency";
+  const auto features = cache.Propagated(*slot, paths, 512, nullptr);
+
+  const hgnn::PropagatedFeatures want =
+      hgnn::PropagateAlongPaths(*slot, paths, 512);
+  ASSERT_EQ(features->blocks.size(), want.blocks.size());
+  for (size_t i = 0; i < want.blocks.size(); ++i) {
+    EXPECT_EQ(features->blocks[i], want.blocks[i]) << i;
+  }
+  EXPECT_EQ(*adj, ComposeAdjacency(*slot, paths[0], 512));
+}
+
+TEST(ArtifactCacheTest, ConcurrentMissesOnOneKeyBuildOnce) {
+  // Four threads miss on one cold key at once: the first builds, the
+  // rest wait for it and hit. Checked for a Propagated key (whose build
+  // composes through the cache) and for a Composed key.
+  const HeteroGraph g = datasets::MakeAcm(3, 0.5);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const std::vector<MetaPath> paths =
+      EnumerateMetaPaths(g, g.target_type(), mp);
+  const MetaPath* two_hop = nullptr;
+  for (const auto& p : paths) {
+    if (p.hops() == 2) {
+      two_hop = &p;
+      break;
+    }
+  }
+  ASSERT_NE(two_hop, nullptr);
+  obs::Counter& blocks =
+      obs::MetricsRegistry::Global().GetCounter("hgnn.blocks_propagated");
+
+  // One sequential build on a fresh cache: the misses and blocks a
+  // single build costs.
+  int64_t one_build_misses = 0;
+  int64_t one_build_blocks = 0;
+  {
+    ArtifactCache ref;
+    const int64_t b0 = blocks.Value();
+    ref.Propagated(g, paths, 512, nullptr);
+    one_build_misses = ref.stats().misses;
+    one_build_blocks = blocks.Value() - b0;
+  }
+  ASSERT_GT(one_build_blocks, 1);
+
+  constexpr int kThreads = 4;
+  // Runs `lookup` on kThreads threads released together; returns the
+  // distinct values they got.
+  auto race = [&](auto lookup) {
+    std::atomic<int> arrived{0};
+    std::vector<const void*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        exec::ExecContext ex(1);
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) {
+        }
+        got[static_cast<size_t>(i)] = lookup(&ex);
+      });
+    }
+    for (auto& t : threads) t.join();
+    return std::set<const void*>(got.begin(), got.end()).size();
+  };
+
+  ArtifactCache cache;
+  std::atomic<int> built{0};
+  const int64_t b0 = blocks.Value();
+  EXPECT_EQ(race([&](exec::ExecContext* ex) -> const void* {
+              bool b = false;
+              const void* v = cache.Propagated(g, paths, 512, ex, &b).get();
+              built.fetch_add(b ? 1 : 0);
+              return v;
+            }),
+            1u);
+  EXPECT_EQ(built.load(), 1);
+  EXPECT_EQ(cache.stats().misses, one_build_misses);
+  EXPECT_EQ(cache.stats().hits, kThreads - 1);
+  EXPECT_EQ(blocks.Value() - b0, one_build_blocks);
+
+  cache.Clear();
+  EXPECT_EQ(race([&](exec::ExecContext* ex) -> const void* {
+              return cache.Composed(g, *two_hop, 512, ex).get();
+            }),
+            1u);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, kThreads - 1);
 }
 
 // --- determinism invariant --------------------------------------------------

@@ -759,11 +759,36 @@ TEST(ServeServiceTest, SameConfigRequestsCoalesceEvalContext) {
   for (auto& t : tickets) ASSERT_TRUE(t->Wait().ok());
   EXPECT_EQ(service.eval_context_builds(), 1);
 
-  // A different meta-path config is a different context.
+  // Contexts are keyed by the path list a config selects: the toy graph
+  // has 3 paths at 2 hops, so max_paths 3 lists the same paths as 6 and
+  // shares the context.
+  CondenseRequest same_paths = ToyRequest(1);
+  same_paths.max_paths = 3;
+  ASSERT_TRUE(service.Condense(same_paths).ok());
+  EXPECT_EQ(service.eval_context_builds(), 1);
+
+  // A config that selects a different path list is a different context.
   CondenseRequest other = ToyRequest(1);
-  other.max_paths = 3;
+  other.max_paths = 2;
   ASSERT_TRUE(service.Condense(other).ok());
   EXPECT_EQ(service.eval_context_builds(), 2);
+  service.Shutdown();
+}
+
+/// A served graph is pinned only while a request runs: once the request
+/// ends and the name is removed, nothing keeps the graph alive.
+TEST(ServeServiceTest, RemovedGraphIsFreedOnceItsRequestEnds) {
+  ServeService service(SmallServeOptions(1));
+  ASSERT_TRUE(service.store().Register("toy", datasets::MakeToy(5)).ok());
+  std::weak_ptr<const HeteroGraph> weak;
+  {
+    auto ref = service.store().Get("toy");
+    ASSERT_TRUE(ref.ok());
+    weak = *ref;
+  }
+  ASSERT_TRUE(service.Condense(ToyRequest(1)).ok());
+  ASSERT_TRUE(service.store().Remove("toy"));
+  EXPECT_TRUE(weak.expired()) << "a finished request still pins the graph";
   service.Shutdown();
 }
 

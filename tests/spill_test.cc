@@ -310,6 +310,54 @@ TEST(GraphStoreMappedTest, ResidentBudgetEvictsAndRemapsTransparently) {
   RemoveTree(dir);
 }
 
+/// A condense request pins its graph only while it runs: afterwards the
+/// graph is an ordinary LRU candidate under the store's residency budget.
+TEST(GraphStoreMappedTest, CondensedGraphStaysEvictable) {
+  const std::string dir = ScratchDir("pin");
+  serve::ServeOptions opts;
+  opts.slots = 1;
+  opts.threads_per_slot = 1;
+  opts.store_resident_budget_bytes = 1536 * 1024;
+  serve::ServeService service(opts);
+  serve::GraphStore& store = service.store();
+  auto register_graph = [&](int i) {
+    const std::string name = "g" + std::to_string(i);
+    const std::string path = dir + "/" + name + ".fhgc";
+    ASSERT_TRUE(SaveHeteroGraphV3(
+                    datasets::MakeAcm(static_cast<uint64_t>(i + 1), 0.3), path)
+                    .ok());
+    auto info = store.RegisterMappedFile(name, path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    ASSERT_LT(info->memory_bytes, opts.store_resident_budget_bytes);
+    ASSERT_GT(2 * info->memory_bytes, opts.store_resident_budget_bytes);
+  };
+  auto resident = [&](const std::string& name) {
+    auto info = store.Info(name);
+    return info.ok() && info->resident;
+  };
+
+  register_graph(0);
+  serve::CondenseRequest request;
+  request.graph = "g0";
+  request.method = "herding";
+  request.ratio = 0.05;
+  request.max_paths = 4;
+  ASSERT_TRUE(service.Condense(request).ok());
+
+  // g0 is the LRU and no request holds it: g1's arrival evicts it.
+  register_graph(1);
+  EXPECT_GT(store.Evictions(), 0);
+  EXPECT_FALSE(resident("g0"));
+  EXPECT_TRUE(resident("g1"));
+
+  register_graph(2);
+  EXPECT_FALSE(resident("g1"));
+  EXPECT_TRUE(resident("g2"));
+  EXPECT_LE(store.MappedResidentBytes(), opts.store_resident_budget_bytes);
+  service.Shutdown();
+  RemoveTree(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Orphan-spool GC
 

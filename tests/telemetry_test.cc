@@ -102,10 +102,10 @@ TEST(PrometheusText, QuantilesMatchServerSideEstimate) {
   const auto buckets = obs::PromBuckets(samples, "freehgc_lat");
   for (double q : {0.5, 0.95, 0.99}) {
     const double scraped = obs::QuantileFromCumulativeBuckets(buckets, q);
-    const double server = static_cast<double>(h.ApproxQuantile(q));
-    // Same buckets, same interpolation — the reconstruction must agree
-    // to well under one bucket width.
-    EXPECT_NEAR(scraped, server, server * 0.01 + 2.0) << "q=" << q;
+    // Same buckets, same routine — the reconstruction must agree up to
+    // the server's integer truncation.
+    EXPECT_EQ(static_cast<int64_t>(scraped), h.ApproxQuantile(q))
+        << "q=" << q;
   }
 }
 
