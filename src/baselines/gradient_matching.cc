@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/selection_util.h"
+#include "obs/metrics.h"
 
 namespace freehgc::baselines {
 
@@ -30,8 +31,13 @@ Matrix RelayProbs(const Matrix& s, const Matrix& w) {
 }
 
 /// Relay gradient g = S^T (P - Y) / n for rows labeled by `labels`.
+/// Counted in `baselines.relay_gradients`, the deterministic work measure
+/// of the bi-level loop.
 Matrix RelayGradient(const Matrix& s, const Matrix& w,
                      const std::vector<int32_t>& labels) {
+  static obs::Counter& relay_ctr =
+      obs::MetricsRegistry::Global().GetCounter("baselines.relay_gradients");
+  relay_ctr.Increment();
   Matrix p = RelayProbs(s, w);
   for (int64_t r = 0; r < p.rows(); ++r) {
     p.At(r, labels[static_cast<size_t>(r)]) -= 1.0f;

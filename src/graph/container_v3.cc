@@ -640,10 +640,6 @@ Result<ContainerSummary> InspectContainer(const std::string& path) {
   if (std::fread(&version, 1, sizeof(version), f.get()) != sizeof(version)) {
     return Status::InvalidArgument("truncated graph container header");
   }
-  if (version == serialize_internal::kVersionLegacy ||
-      version == serialize_internal::kVersionV2) {
-    return serialize_internal::InspectLegacyContainer(path, version, f.get());
-  }
   if (version != kVersionV3) {
     return Status::InvalidArgument("unsupported graph file version");
   }

@@ -21,23 +21,21 @@ namespace freehgc {
 // writes it to a file, SerializeHeteroGraph builds the identical bytes in
 // memory for graph uploads, FetchGraph replication and return_graph
 // replies, so a condensation can be run once and shipped. Containers of
-// the earlier formats (version 1: magic, version, body; version 2 adds a
-// body size and CRC-32) are still read, never written.
+// the pre-v3 formats (versions 1 and 2) are unsupported: every version
+// other than 3 fails with InvalidArgument before any graph state is built.
 
-/// Reads a graph container file. Fails with InvalidArgument on magic/
-/// version mismatch and, for version >= 2 containers, on truncation or
-/// checksum mismatch. Version-1 files (no checksum) still load. v1/v2
-/// load via the heap path; v3 files are memory-mapped (the returned
-/// graph's storage views the mapping).
+/// Memory-maps a graph container file (the returned graph's storage views
+/// the mapping). Fails with InvalidArgument on a magic or version
+/// mismatch, truncation or checksum mismatch.
 Result<HeteroGraph> LoadHeteroGraph(const std::string& path);
 
 /// Serializes to the v3 container in memory: byte for byte the file
 /// SaveHeteroGraphV3 writes.
 Result<std::string> SerializeHeteroGraph(const HeteroGraph& g);
 
-/// Parses a container from memory, with the same integrity checks as
-/// LoadHeteroGraph. Understands v3 containers (deep-copied into owned
-/// storage, since the buffer is transient) and v1/v2 bodies.
+/// Parses a v3 container from memory, with the same integrity checks as
+/// LoadHeteroGraph, deep-copied into owned storage since the buffer is
+/// transient.
 Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes);
 
 // --- v3 page-aligned container -------------------------------------------
@@ -175,23 +173,22 @@ struct RelationSummary {
 };
 
 /// Header/section-table view of a container, gathered without loading any
-/// graph state. For v3 files the per-section CRCs are re-verified by
-/// streaming the file; for v2 the single body CRC is checked; v1 has no
-/// checksum (crc_ok is trivially true).
+/// graph state; every per-section CRC is re-verified against the file.
 struct ContainerSummary {
   uint32_t version = 0;
   uint64_t file_bytes = 0;
-  uint64_t fingerprint = 0;  ///< v3 only; 0 otherwise
+  uint64_t fingerprint = 0;  ///< content fingerprint from the header
   bool crc_ok = false;       ///< all checksums match
   bool spill = false;        ///< artifact spill file, not a graph container
   std::vector<std::pair<std::string, int64_t>> types;  ///< name, node count
   std::vector<RelationSummary> relations;
-  std::vector<SectionSummary> sections;  ///< v3 only
+  std::vector<SectionSummary> sections;
 };
 
-/// Reads header, section table and structural metadata from any supported
-/// container version, streaming the file for CRC verification (constant
-/// memory; values are never materialized).
+/// Reads header, section table and structural metadata from a v3
+/// container (or a spill file), streaming the file for CRC verification
+/// (constant memory; values are never materialized). Any other version
+/// fails with InvalidArgument.
 Result<ContainerSummary> InspectContainer(const std::string& path);
 
 /// Inspects an artifact spill file (section_io::SpillFormat) the tiered

@@ -1,10 +1,10 @@
 #ifndef FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 #define FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 
-// Shared pieces of the container codecs: the v1/v2 body reader in
-// serialize.cc and the v3 page-aligned container in container_v3.cc both
-// read length-prefixed strings and PODs from byte views, and both need the
-// container magic / version registry to dispatch on.
+// Shared pieces of the graph container codec: the v3 page-aligned
+// container in container_v3.cc and the header checks in serialize.cc
+// read PODs (and container_v3.cc length-prefixed strings) from byte
+// views, and both dispatch on the container magic / version below.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,13 +22,9 @@ namespace freehgc {
 namespace serialize_internal {
 
 inline constexpr uint32_t kMagic = 0x46484743;  // "FHGC"
-// Version 1: magic, version, body. Version 2 inserts a u64 body size and
-// a CRC-32 of the body between the version field and the body, so loads
-// reject truncated or corrupted containers before building any state.
-// Both are read-only now. Version 3 is the page-aligned mappable
-// container (container_v3.cc), the only format written.
-inline constexpr uint32_t kVersionLegacy = 1;
-inline constexpr uint32_t kVersionV2 = 2;
+// Version 3 is the page-aligned mappable container (container_v3.cc), the
+// only version read or written. Versions 1 and 2 (a flat body stream) are
+// rejected as unsupported like any other version.
 inline constexpr uint32_t kVersionV3 = 3;
 
 struct FileCloser {
@@ -80,12 +76,6 @@ inline bool ReadString(ByteReader& r, std::string* s) {
   s->resize(n);
   return r.Read(s->data(), n);
 }
-
-/// Structural inspection of a v1/v2 container by streaming the file
-/// (implemented in serialize.cc, next to the body format it skips over).
-Result<ContainerSummary> InspectLegacyContainer(const std::string& path,
-                                                uint32_t version,
-                                                std::FILE* f);
 
 /// Parses an in-memory v3 container into owned storage (deep copy); the
 /// upload path of the serve layer hands transient buffers here.

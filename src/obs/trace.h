@@ -56,7 +56,10 @@ struct SpanRecord {
 };
 
 namespace internal {
-extern thread_local uint64_t g_current_request_id;
+// Inline with a constant initializer: every translation unit that reads
+// or stores it sees the definition and accesses the slot directly, not
+// through a cross-unit TLS wrapper call.
+inline thread_local uint64_t g_current_request_id = 0;
 }  // namespace internal
 
 /// The serving-layer request id attached to spans recorded by the

@@ -62,10 +62,9 @@ class GraphStore {
   /// Registers an already-built graph under `name`.
   Result<GraphInfo> Register(const std::string& name, HeteroGraph graph);
 
-  /// Registers a graph from an in-memory container (the upload path:
-  /// SerializeHeteroGraph's v3 bytes; legacy v1/v2 bodies still parse).
-  /// Corrupt or truncated payloads are InvalidArgument — nothing is
-  /// registered. With a spool dir set, the upload is persisted as a v3
+  /// Registers a graph from an in-memory v3 container (the upload path:
+  /// SerializeHeteroGraph's bytes). Corrupt, truncated or non-v3 payloads
+  /// are InvalidArgument — nothing is registered. With a spool dir set, the upload is persisted as a v3
   /// container (named by content fingerprint) and re-registered as a
   /// mapped graph, so the heap copy is freed and the resident arrays are
   /// page-cache-backed.

@@ -347,23 +347,6 @@ Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
   return out;
 }
 
-Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
-                  exec::ExecContext* /*ctx*/) {
-  FREEHGC_CHECK(a.rows() == x.rows());
-  FREEHGC_TRACE_SPAN("spmm_dense_t");
-  Matrix out(a.cols(), x.cols());
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    const float* x_row = x.Row(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      float* out_row = out.Row(idx[k]);
-      for (int64_t c = 0; c < x.cols(); ++c) out_row[c] += val[k] * x_row[c];
-    }
-  }
-  return out;
-}
-
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.cols());
@@ -387,21 +370,6 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
                         exec::ExecContext* ctx) {
   std::vector<float> y;
   SpMvInto(a, x, y, ctx);
-  return y;
-}
-
-std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
-                         exec::ExecContext* /*ctx*/) {
-  FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.rows());
-  std::vector<float> y(static_cast<size_t>(a.cols()), 0.0f);
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    const float xv = x[static_cast<size_t>(r)];
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      y[static_cast<size_t>(idx[k])] += val[k] * xv;
-    }
-  }
   return y;
 }
 
@@ -432,65 +400,19 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
   return std::move(res).value();
 }
 
-CsrMatrix AddElementwise(const CsrMatrix& a, const CsrMatrix& b) {
-  FREEHGC_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  std::vector<int64_t> indptr(static_cast<size_t>(a.rows()) + 1, 0);
-  std::vector<int32_t> indices;
-  std::vector<float> values;
-  indices.reserve(static_cast<size_t>(a.nnz() + b.nnz()));
-  values.reserve(static_cast<size_t>(a.nnz() + b.nnz()));
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    auto ai = a.RowIndices(r);
-    auto av = a.RowValues(r);
-    auto bi = b.RowIndices(r);
-    auto bv = b.RowValues(r);
-    size_t i = 0, j = 0;
-    while (i < ai.size() || j < bi.size()) {
-      int32_t ci = i < ai.size() ? ai[i] : a.cols();
-      int32_t cj = j < bi.size() ? bi[j] : a.cols();
-      if (ci < cj) {
-        indices.push_back(ci);
-        values.push_back(av[i++]);
-      } else if (cj < ci) {
-        indices.push_back(cj);
-        values.push_back(bv[j++]);
-      } else {
-        indices.push_back(ci);
-        values.push_back(av[i++] + bv[j++]);
-      }
-    }
-    indptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(indices.size());
-  }
-  auto res = CsrMatrix::FromParts(a.rows(), a.cols(), std::move(indptr),
-                                  std::move(indices), std::move(values));
-  FREEHGC_CHECK(res.ok());
-  return std::move(res).value();
-}
-
-CsrMatrix Symmetrize(const CsrMatrix& a) {
-  FREEHGC_CHECK(a.rows() == a.cols());
-  return AddElementwise(a, Transpose(a));
-}
-
-std::vector<float> PprScores(const CsrMatrix& a,
+std::vector<float> PprScores(const CsrMatrix& at,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters, float tol,
-                             exec::ExecContext* ctx, bool symmetric) {
-  FREEHGC_CHECK(a.rows() == a.cols());
-  FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == a.rows());
+                             exec::ExecContext* ctx) {
+  FREEHGC_CHECK(at.rows() == at.cols());
+  FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == at.rows());
   FREEHGC_TRACE_SPAN("ppr");
   static obs::Counter& iters_ctr =
       obs::MetricsRegistry::Global().GetCounter("ppr.iterations");
   exec::ExecContext& ex = exec::Resolve(ctx);
-  // A^T pi as a row-parallel gather over the materialized transpose: the
-  // per-element accumulation order (ascending source row) matches the
-  // sequential column-scatter exactly, so the refactor is bit-preserving.
-  // A bit-exactly symmetric input (caller-asserted) needs no transpose at
-  // all — a^T == a including value order, so iterating over `a` itself
-  // produces the same bits without the transposed copy.
-  const CsrMatrix at_owned =
-      symmetric ? CsrMatrix() : Transpose(a, &ex);
-  const CsrMatrix& at = symmetric ? a : at_owned;
+  // A^T pi is a row-parallel gather over the rows of `at`: each element
+  // accumulates in ascending source row, the order of the reference's
+  // column scatter over A, so the two agree bit-for-bit.
   std::vector<float> pi = teleport;
   std::vector<float> propagated;  // reused across iterations
   for (int it = 0; it < max_iters; ++it) {

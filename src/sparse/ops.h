@@ -54,13 +54,6 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
                  exec::ExecContext* ctx = nullptr);
 
-/// Dense product a^T * x as one sequential scatter over a's rows in
-/// ascending order, with no transpose: every output element accumulates
-/// in ascending source-row order. `ctx` is unused; no caller has yet
-/// needed a parallel split.
-Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
-                  exec::ExecContext* ctx = nullptr);
-
 /// y = a * x for a dense vector x.
 std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
                         exec::ExecContext* ctx = nullptr);
@@ -70,44 +63,29 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx = nullptr);
 
-/// y = a^T * x as one sequential scatter in ascending source-row order,
-/// like SpMmDenseT; `ctx` is unused.
-std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
-                         exec::ExecContext* ctx = nullptr);
-
 /// Extracts the submatrix a[row_keep, col_keep] with indices remapped to
 /// the keep-list positions. Keep-lists must contain valid, unique ids.
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
                     const std::vector<int32_t>& col_keep);
 
-/// Elementwise sum a + b (same shape).
-CsrMatrix AddElementwise(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Returns a square symmetric matrix max(a, a^T) built from a square a
-/// (union of edges in both directions, values summed).
-CsrMatrix Symmetrize(const CsrMatrix& a);
-
 /// Personalized PageRank score vector via power iteration:
 ///   pi <- alpha * teleport + (1 - alpha) * A^T pi
-/// where `a` should be (sym-)normalized and `teleport` sums to 1.
+/// where A should be (sym-)normalized and `teleport` sums to 1.
 /// Terminates after `max_iters` or when the L1 change drops below `tol`.
 /// The result approximates the column mass of the PPR matrix
 /// alpha (I - (1-alpha) A)^-1 restricted to the teleport distribution,
 /// which is exactly the aggregate neighbor-influence score of Eq. (13).
 ///
-/// Internally materializes a^T once so each iteration is a row-parallel
-/// gather SpMv; the L1 delta uses an ordered chunk reduction. Callers
-/// whose matrix is bit-exactly symmetric (structure and values — e.g. a
-/// SymNormalize'd bipartite block, whose mirror entries multiply the same
-/// value by the same single-rounded inv_sqrt product) may pass
-/// `symmetric = true` to skip the transpose entirely: a^T == a
-/// bit-for-bit, so the iterates are unchanged while the peak transient
-/// drops by the transposed copy plus its histogram scratch.
-std::vector<float> PprScores(const CsrMatrix& a,
+/// `at` is A^T: pass Transpose(A), or A itself when A is bit-exactly
+/// symmetric in structure and values (e.g. a SymNormalize'd bipartite
+/// block, whose mirror entries multiply the same value by the same
+/// single-rounded inv_sqrt product). Each iteration is a row-parallel
+/// gather SpMv over the rows of `at`; the L1 delta uses an ordered chunk
+/// reduction.
+std::vector<float> PprScores(const CsrMatrix& at,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters = 50, float tol = 1e-6f,
-                             exec::ExecContext* ctx = nullptr,
-                             bool symmetric = false);
+                             exec::ExecContext* ctx = nullptr);
 
 }  // namespace freehgc::sparse
 

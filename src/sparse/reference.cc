@@ -160,23 +160,6 @@ Matrix SpMmDenseRef(const CsrMatrix& a, const Matrix& x) {
   return out;
 }
 
-Matrix SpMmDenseTRef(const CsrMatrix& a, const Matrix& x) {
-  FREEHGC_CHECK(a.rows() == x.rows());
-  Matrix out(a.cols(), x.cols());
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    const float* x_row = x.Row(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      float* out_row = out.Row(idx[k]);
-      for (int64_t c = 0; c < x.cols(); ++c) {
-        out_row[c] += val[k] * x_row[c];
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.cols());
   std::vector<float> y(static_cast<size_t>(a.rows()), 0.0f);

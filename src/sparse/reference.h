@@ -39,15 +39,11 @@ CsrMatrix SpGemmRef(const CsrMatrix& a, const CsrMatrix& b,
 /// sparse-entry order (matches the blocked kernel's per-element order).
 Matrix SpMmDenseRef(const CsrMatrix& a, const Matrix& x);
 
-/// Sequential a^T * x via column scatter (ascending source-row order —
-/// the order the transpose-then-gather optimized path reproduces).
-Matrix SpMmDenseTRef(const CsrMatrix& a, const Matrix& x);
-
 /// Sequential y = a * x.
 std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x);
 
 /// Sequential y = a^T * x via column scatter. No zero-skip: every stored
-/// entry contributes, exactly like the optimized transpose-gather path.
+/// entry contributes, exactly like PprScores' gather over the transpose.
 std::vector<float> SpMvTRef(const CsrMatrix& a, const std::vector<float>& x);
 
 /// Sequential PPR power iteration:

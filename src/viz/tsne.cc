@@ -66,7 +66,7 @@ Matrix Tsne(const Matrix& x, const TsneOptions& opts) {
     }
   }
 
-  // Symmetrized affinities.
+  // Symmetric affinities: p_ij = (p_j|i + p_i|j) / 2n.
   const double perplexity =
       std::min(opts.perplexity, static_cast<double>(n - 1) / 3.0);
   std::vector<std::vector<double>> p(

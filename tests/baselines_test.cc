@@ -6,6 +6,7 @@
 #include "baselines/coreset.h"
 #include "baselines/gradient_matching.h"
 #include "datasets/generator.h"
+#include "obs/metrics.h"
 
 namespace freehgc::baselines {
 namespace {
@@ -120,19 +121,31 @@ TEST(GradientMatchingTest, OutputShapesMatchContext) {
 TEST(GradientMatchingTest, HeteroVariantUsesClusterInitAndCostsMore) {
   const HeteroGraph g = datasets::MakeAcm(23, /*scale=*/0.3);
   const hgnn::EvalContext ctx = MakeContext(g);
+  obs::Counter& relay =
+      obs::MetricsRegistry::Global().GetCounter("baselines.relay_gradients");
   GradientMatchingOptions gcond;
   gcond.ratio = 0.05;
   gcond.outer_iters = 6;
+  const int64_t r0 = relay.Value();
   auto a = GradientMatchingCondense(ctx, gcond);
+  const int64_t gcond_work = relay.Value() - r0;
   GradientMatchingOptions hgcond = gcond;
   hgcond.hetero = true;
   hgcond.relay_inits = gcond.relay_inits + 2;
   hgcond.inner_iters = gcond.inner_iters + 2;
+  const int64_t r1 = relay.Value();
   auto b = GradientMatchingCondense(ctx, hgcond);
+  const int64_t hgcond_work = relay.Value() - r1;
   ASSERT_TRUE(a.ok() && b.ok());
-  // HGCond's clustering + OPS + heavier loops must cost more wall clock
-  // (the workload is sized so the gap is far above timer noise).
-  EXPECT_GT(b->seconds, a->seconds);
+  // HGCond's heavier loops cost more work, measured in relay-gradient
+  // evaluations (a count, so contention cannot flip it): per relay init
+  // and outer step, one real and one synthetic gradient plus one per
+  // inner step.
+  EXPECT_EQ(gcond_work, static_cast<int64_t>(gcond.relay_inits) *
+                            gcond.outer_iters * (2 + gcond.inner_iters));
+  EXPECT_EQ(hgcond_work, static_cast<int64_t>(hgcond.relay_inits) *
+                             hgcond.outer_iters * (2 + hgcond.inner_iters));
+  EXPECT_GT(hgcond_work, gcond_work);
 }
 
 TEST(GradientMatchingTest, MemoryGateTriggersResourceExhausted) {

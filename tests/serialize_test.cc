@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "graph/serialize.h"
+#include "serve/graph_store.h"
 
 namespace freehgc {
 namespace {
@@ -55,88 +55,6 @@ void ExpectGraphsEqual(const HeteroGraph& a, const HeteroGraph& b) {
   EXPECT_EQ(a.val_index(), b.val_index());
   EXPECT_EQ(a.test_index(), b.test_index());
   EXPECT_EQ(a.ContentFingerprint(), b.ContentFingerprint());
-}
-
-// A minimal encoder for the legacy v1/v2 containers. The library only
-// reads these formats now; files written by older releases still exist,
-// so the readers keep their coverage on bytes built here.
-template <typename T>
-void PutPod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void PutArray(std::string& out, std::span<const T> v) {
-  PutPod(out, static_cast<uint64_t>(v.size()));
-  out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-void PutString(std::string& out, const std::string& s) {
-  PutPod(out, static_cast<uint32_t>(s.size()));
-  out.append(s);
-}
-
-/// The v1/v2 body: types, relations as CSR, features, target + splits.
-std::string LegacyBody(const HeteroGraph& g) {
-  std::string out;
-  PutPod(out, g.NumNodeTypes());
-  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
-    PutString(out, g.TypeName(t));
-    PutPod(out, g.NodeCount(t));
-  }
-  PutPod(out, g.NumRelations());
-  for (RelationId r = 0; r < g.NumRelations(); ++r) {
-    const Relation& rel = g.relation(r);
-    PutString(out, rel.name);
-    PutPod(out, rel.src_type);
-    PutPod(out, rel.dst_type);
-    PutPod(out, rel.adj.rows());
-    PutPod(out, rel.adj.cols());
-    PutArray(out, rel.adj.indptr());
-    PutArray(out, rel.adj.indices());
-    PutArray(out, rel.adj.values());
-  }
-  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
-    PutPod(out, static_cast<uint8_t>(g.HasFeatures(t) ? 1 : 0));
-    if (!g.HasFeatures(t)) continue;
-    const Matrix& m = g.Features(t);
-    PutPod(out, static_cast<int64_t>(m.rows()));
-    PutPod(out, static_cast<int64_t>(m.cols()));
-    out.append(reinterpret_cast<const char*>(m.data()),
-               static_cast<size_t>(m.size()) * sizeof(float));
-  }
-  PutPod(out, g.target_type());
-  if (g.target_type() >= 0) {
-    PutPod(out, g.num_classes());
-    PutArray(out, std::span<const int32_t>(g.labels()));
-    PutArray(out, std::span<const int32_t>(g.train_index()));
-    PutArray(out, std::span<const int32_t>(g.val_index()));
-    PutArray(out, std::span<const int32_t>(g.test_index()));
-  }
-  return out;
-}
-
-constexpr uint32_t kContainerMagic = 0x46484743;  // "FHGC"
-
-/// Version 1: magic, version, body.
-std::string LegacyV1(const HeteroGraph& g) {
-  std::string out;
-  PutPod(out, kContainerMagic);
-  PutPod(out, uint32_t{1});
-  out.append(LegacyBody(g));
-  return out;
-}
-
-/// Version 2: magic, version, body size, body CRC-32, body.
-std::string LegacyV2(const HeteroGraph& g) {
-  const std::string body = LegacyBody(g);
-  std::string out;
-  PutPod(out, kContainerMagic);
-  PutPod(out, uint32_t{2});
-  PutPod(out, static_cast<uint64_t>(body.size()));
-  PutPod(out, Crc32(body.data(), body.size()));
-  out.append(body);
-  return out;
 }
 
 TEST(SerializeTest, RoundTripsToyGraph) {
@@ -232,58 +150,49 @@ TEST(SerializeTest, RejectsBadMagic) {
             std::string::npos);
 }
 
-TEST(SerializeTest, RejectsTruncationAtEveryRegion) {
-  const std::string full = LegacyV2(datasets::MakeToy(11));
-  // Header is magic(4) + version(4) + body size(8) + crc(4) = 20 bytes.
-  const size_t cuts[] = {0, 3, 4, 7, 8, 15, 19, 20, full.size() / 2,
-                         full.size() - 1};
-  for (size_t cut : cuts) {
-    ASSERT_LT(cut, full.size());
-    auto res = DeserializeHeteroGraph(std::string_view(full).substr(0, cut));
-    EXPECT_FALSE(res.ok()) << "truncation at byte " << cut << " accepted";
-    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument)
-        << "at byte " << cut << ": " << res.status().ToString();
-  }
-}
-
 TEST(SerializeTest, RejectsChecksumMismatch) {
-  // Flip one bit in the body (past the 20-byte header): the size still
-  // matches, so only the CRC catches it.
-  std::string corrupt = LegacyV2(datasets::MakeToy(11));
-  corrupt[corrupt.size() - 1] =
-      static_cast<char>(corrupt[corrupt.size() - 1] ^ 0x01);
+  // Flip one bit inside the first payload section (the meta section at
+  // byte 4096): every length still matches, so only its CRC catches it.
+  auto bytes = SerializeHeteroGraph(datasets::MakeToy(11));
+  ASSERT_TRUE(bytes.ok());
+  std::string corrupt = *bytes;
+  ASSERT_GT(corrupt.size(), 4097u);
+  corrupt[4097] = static_cast<char>(corrupt[4097] ^ 0x01);
   auto res = DeserializeHeteroGraph(corrupt);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(res.status().message().find("checksum"), std::string::npos);
-}
-
-TEST(SerializeTest, LoadsLegacyVersion1Container) {
-  const HeteroGraph g = datasets::MakeToy(11);
-  // A version-1 container is magic + version + body, with no size/crc.
-  auto res = DeserializeHeteroGraph(LegacyV1(g));
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  ExpectGraphsEqual(*res, g);
-}
-
-TEST(SerializeTest, LoadsLegacyVersion2FileFromDisk) {
-  const HeteroGraph g = datasets::MakeToy(13);
-  const std::string path = TempPath("legacy_v2.fhgc");
-  WriteFileBytes(path, LegacyV2(g));
-  auto loaded = LoadHeteroGraph(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->IsMapped());  // v1/v2 load onto the heap
-  ExpectGraphsEqual(*loaded, g);
-  std::remove(path.c_str());
+  EXPECT_NE(res.status().message().find("checksum"), std::string::npos)
+      << res.status().ToString();
 }
 
 TEST(SerializeTest, RejectsUnsupportedVersion) {
-  std::string future = LegacyV2(datasets::MakeToy(11));
-  const uint32_t v99 = 99;
-  std::memcpy(future.data() + 4, &v99, sizeof(v99));
-  auto res = DeserializeHeteroGraph(future);
-  ASSERT_FALSE(res.ok());
-  EXPECT_NE(res.status().message().find("version"), std::string::npos);
+  // Versions 1 and 2 (the pre-v3 formats) are unsupported like any other
+  // non-v3 version: every entry point rejects the header before building
+  // graph state.
+  auto v3 = SerializeHeteroGraph(datasets::MakeToy(11));
+  ASSERT_TRUE(v3.ok());
+  const std::string path = TempPath("unsupported_version.fhgc");
+  for (const uint32_t version : {1u, 2u, 99u}) {
+    SCOPED_TRACE(version);
+    std::string bytes = *v3;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    WriteFileBytes(path, bytes);
+    const Status statuses[] = {
+        DeserializeHeteroGraph(bytes).status(),
+        LoadHeteroGraph(path).status(),
+        InspectContainer(path).status(),
+    };
+    for (const Status& st : statuses) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.message().find("version"), std::string::npos)
+          << st.ToString();
+    }
+    serve::GraphStore store;
+    auto registered = store.RegisterSerialized("g", bytes);
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.Count(), 0);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, CorruptFileOnDiskIsRejected) {
@@ -442,26 +351,6 @@ TEST(ContainerV3Test, InspectReportsSectionsAndStructure) {
     EXPECT_TRUE(s.crc_ok) << s.kind << "[" << s.index << "]";
     EXPECT_EQ(s.offset % 4096, 0u) << s.kind;
   }
-  std::remove(path.c_str());
-}
-
-TEST(ContainerV3Test, InspectStillWorksOnLegacyContainers) {
-  const HeteroGraph g = datasets::MakeToy(5);
-  const std::string path = TempPath("v2_inspect.fhgc");
-  WriteFileBytes(path, LegacyV2(g));
-  auto info = InspectContainer(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, 2u);
-  EXPECT_TRUE(info->crc_ok);
-  ASSERT_EQ(info->relations.size(), static_cast<size_t>(g.NumRelations()));
-  EXPECT_EQ(info->relations[0].nnz, g.relation(0).adj.nnz());
-  // Corrupt a byte: inspect should still succeed but report the bad CRC.
-  std::string bytes = ReadFileBytes(path);
-  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x01);
-  WriteFileBytes(path, bytes);
-  info = InspectContainer(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->crc_ok);
   std::remove(path.c_str());
 }
 

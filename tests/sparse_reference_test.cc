@@ -248,18 +248,12 @@ TEST(SparseReferenceTest, SpMmDenseMatchesReference) {
     for (int64_t i = 0; i < x.size(); ++i) {
       x.data()[i] = rng.NextUniform(-1.0f, 1.0f);
     }
-    Matrix xt(e.m.rows(), 70);
-    for (int64_t i = 0; i < xt.size(); ++i) {
-      xt.data()[i] = rng.NextUniform(-1.0f, 1.0f);
-    }
     const Matrix want = sparse::reference::SpMmDenseRef(e.m, x);
-    const Matrix want_t = sparse::reference::SpMmDenseTRef(e.m, xt);
     for (int threads : kThreadCounts) {
       exec::ExecContext ex(threads);
       const std::string context =
           e.name + " threads=" + std::to_string(threads);
       EXPECT_TRUE(sparse::SpMmDense(e.m, x, &ex) == want) << context;
-      EXPECT_TRUE(sparse::SpMmDenseT(e.m, xt, &ex) == want_t) << context;
     }
   }
 }
@@ -269,18 +263,32 @@ TEST(SparseReferenceTest, SpMvMatchesReference) {
     Rng rng(103);
     std::vector<float> x(static_cast<size_t>(e.m.cols()));
     for (auto& v : x) v = rng.NextUniform(-1.0f, 1.0f);
-    std::vector<float> xt(static_cast<size_t>(e.m.rows()));
-    for (auto& v : xt) v = rng.NextUniform(-1.0f, 1.0f);
     const std::vector<float> want = sparse::reference::SpMvRef(e.m, x);
-    const std::vector<float> want_t = sparse::reference::SpMvTRef(e.m, xt);
     for (int threads : kThreadCounts) {
       exec::ExecContext ex(threads);
       const std::string context =
           e.name + " threads=" + std::to_string(threads);
       EXPECT_EQ(sparse::SpMv(e.m, x, &ex), want) << context;
-      EXPECT_EQ(sparse::SpMvT(e.m, xt, &ex), want_t) << context;
     }
   }
+}
+
+/// [[0, B], [B^T, 0]] for a random non-negative (nt x ns) B, then
+/// sym-normalized: the bit-symmetric block NIM hands PprScores as is
+/// (core/other_types.cc).
+CsrMatrix SymNormalizedBipartiteBlock(int32_t nt, int32_t ns, uint64_t seed) {
+  const CsrMatrix b = RandomSparse(nt, ns, 0.05, seed);
+  std::vector<CooEntry> entries;
+  for (int32_t r = 0; r < nt; ++r) {
+    auto idx = b.RowIndices(r);
+    auto val = b.RowValues(r);
+    for (size_t k = 0; k < idx.size(); ++k) {
+      entries.push_back({r, nt + idx[k], std::fabs(val[k])});
+      entries.push_back({nt + idx[k], r, std::fabs(val[k])});
+    }
+  }
+  return sparse::SymNormalize(
+      FromCooOrDie(nt + ns, nt + ns, std::move(entries)));
 }
 
 TEST(SparseReferenceTest, PprScoresMatchesReference) {
@@ -289,15 +297,30 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
   // differently from the reference's sequential fold, so a nonzero tol
   // could stop them on different iterations even though every pi update
   // is bit-identical.
+  //
+  // PprScores gathers over the transpose it is given: a non-symmetric
+  // input is transposed first, a bit-symmetric one is passed as is.
   const CsrMatrix a =
       sparse::reference::SymNormalizeRef(PowerLawSparse(250, 250, 29));
+  const CsrMatrix block = SymNormalizedBipartiteBlock(110, 140, 31);
+  ASSERT_TRUE(sparse::reference::TransposeRef(block) == block);
+  struct Case {
+    std::string name;
+    const CsrMatrix* a;
+    CsrMatrix at;
+  };
+  const Case cases[] = {{"power_law", &a, sparse::reference::TransposeRef(a)},
+                        {"bipartite_block", &block, block}};
   std::vector<float> teleport(250, 1.0f / 250.0f);
-  const std::vector<float> want =
-      sparse::reference::PprScoresRef(a, teleport, 0.15f, 20, 0.0f);
-  for (int threads : kThreadCounts) {
-    exec::ExecContext ex(threads);
-    EXPECT_EQ(sparse::PprScores(a, teleport, 0.15f, 20, 0.0f, &ex), want)
-        << "threads=" << threads;
+  for (const Case& c : cases) {
+    const std::vector<float> want =
+        sparse::reference::PprScoresRef(*c.a, teleport, 0.15f, 20, 0.0f);
+    for (int threads : kThreadCounts) {
+      exec::ExecContext ex(threads);
+      EXPECT_EQ(sparse::PprScores(c.at, teleport, 0.15f, 20, 0.0f, &ex),
+                want)
+          << c.name << " threads=" << threads;
+    }
   }
 }
 

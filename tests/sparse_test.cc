@@ -188,26 +188,12 @@ TEST(SparseOpsTest, SpMmDenseMatchesDense) {
   }
 }
 
-TEST(SparseOpsTest, SpMmDenseTMatchesTranspose) {
-  CsrMatrix a = RandomSparse(5, 7, 0.4, 7);
-  Rng rng(8);
-  Matrix x(5, 2);
-  x.FillGaussian(rng, 1.0f);
-  Matrix ref = sparse::SpMmDense(sparse::Transpose(a), x);
-  Matrix got = sparse::SpMmDenseT(a, x);
-  for (int64_t i = 0; i < ref.rows(); ++i) {
-    for (int64_t j = 0; j < ref.cols(); ++j) {
-      EXPECT_NEAR(got.At(i, j), ref.At(i, j), 1e-4f);
-    }
-  }
-}
-
 TEST(SparseOpsTest, SpMvAndSpMvT) {
   CsrMatrix a = FromCooOrDie(2, 3, {{0, 0, 1.0f}, {0, 2, 2.0f}, {1, 1, 3.0f}});
   const auto y = sparse::SpMv(a, {1.0f, 1.0f, 1.0f});
   EXPECT_FLOAT_EQ(y[0], 3.0f);
   EXPECT_FLOAT_EQ(y[1], 3.0f);
-  const auto yt = sparse::SpMvT(a, {1.0f, 2.0f});
+  const auto yt = sparse::SpMv(sparse::Transpose(a), {1.0f, 2.0f});
   EXPECT_FLOAT_EQ(yt[0], 1.0f);
   EXPECT_FLOAT_EQ(yt[1], 6.0f);
   EXPECT_FLOAT_EQ(yt[2], 2.0f);
@@ -225,26 +211,6 @@ TEST(SparseOpsTest, SubmatrixRemapsIndices) {
   EXPECT_EQ(sub.nnz(), 2);
 }
 
-TEST(SparseOpsTest, AddElementwise) {
-  CsrMatrix a = FromCooOrDie(2, 2, {{0, 0, 1.0f}, {1, 1, 2.0f}});
-  CsrMatrix b = FromCooOrDie(2, 2, {{0, 0, 3.0f}, {0, 1, 4.0f}});
-  CsrMatrix c = sparse::AddElementwise(a, b);
-  EXPECT_EQ(c.nnz(), 3);
-  EXPECT_FLOAT_EQ(c.RowValues(0)[0], 4.0f);
-  EXPECT_FLOAT_EQ(c.RowValues(0)[1], 4.0f);
-  EXPECT_FLOAT_EQ(c.RowValues(1)[0], 2.0f);
-}
-
-TEST(SparseOpsTest, SymmetrizeIsSymmetric) {
-  CsrMatrix a = RandomSparse(6, 6, 0.3, 9);
-  CsrMatrix s = sparse::Symmetrize(a);
-  for (int32_t r = 0; r < s.rows(); ++r) {
-    for (int32_t c : s.RowIndices(r)) {
-      EXPECT_TRUE(s.Contains(c, r));
-    }
-  }
-}
-
 TEST(PprTest, ConservesProbabilityMass) {
   // Symmetric normalized chain graph is substochastic; use a row-stochastic
   // matrix to check mass conservation.
@@ -252,7 +218,8 @@ TEST(PprTest, ConservesProbabilityMass) {
       3, 3,
       {{0, 1, 1.0f}, {1, 0, 0.5f}, {1, 2, 0.5f}, {2, 1, 1.0f}});
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f};
-  const auto pi = sparse::PprScores(a, teleport, 0.15f, 100, 1e-9f);
+  const auto pi =
+      sparse::PprScores(sparse::Transpose(a), teleport, 0.15f, 100, 1e-9f);
   float sum = 0.0f;
   for (float x : pi) sum += x;
   EXPECT_NEAR(sum, 1.0f, 1e-3f);
@@ -266,7 +233,7 @@ TEST(PprTest, TeleportNodeGetsHighestScore) {
                                     {0, 3, 1.0f}, {3, 0, 1.0f}});
   CsrMatrix n = sparse::RowNormalize(a);
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f, 0.0f};
-  const auto pi = sparse::PprScores(n, teleport, 0.2f, 100);
+  const auto pi = sparse::PprScores(sparse::Transpose(n), teleport, 0.2f, 100);
   EXPECT_GT(pi[0], pi[1]);
   EXPECT_GT(pi[0], pi[2]);
   EXPECT_NEAR(pi[1], pi[2], 1e-4f);  // symmetric leaves
@@ -275,10 +242,10 @@ TEST(PprTest, TeleportNodeGetsHighestScore) {
 TEST(PprTest, HigherAlphaStaysCloserToTeleport) {
   CsrMatrix a = FromCooOrDie(3, 3, {{0, 1, 1.0f}, {1, 2, 1.0f},
                                     {2, 0, 1.0f}});
-  CsrMatrix n = sparse::RowNormalize(a);
+  const CsrMatrix nt = sparse::Transpose(sparse::RowNormalize(a));
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f};
-  const auto lo = sparse::PprScores(n, teleport, 0.1f, 200);
-  const auto hi = sparse::PprScores(n, teleport, 0.9f, 200);
+  const auto lo = sparse::PprScores(nt, teleport, 0.1f, 200);
+  const auto hi = sparse::PprScores(nt, teleport, 0.9f, 200);
   EXPECT_GT(hi[0], lo[0]);
 }
 

@@ -4,14 +4,14 @@
 //   freehgc_inspect PATH...
 //
 // Prints the container version, file size, content fingerprint, node
-// types, relations, and (v3) the page-aligned section table with
-// per-section CRC status. ArtifactCache spill files (*.spill) are
+// types, relations, and the page-aligned section table with per-section
+// CRC status. ArtifactCache spill files (*.spill) are
 // recognized too and print their section table under a "spill" tag (the
 // fingerprint shown is the cache entry-key hash, not a graph identity).
-// v3 files are mapped, never slurped to heap; v1/v2 files are streamed
-// with a bounded buffer — inspecting a multi-gigabyte container needs
-// only a few megabytes of memory either way. Exits non-zero if any file
-// fails to parse or any checksum is bad.
+// Files are mapped, never slurped to heap, so inspecting a
+// multi-gigabyte container needs only a few megabytes of memory. Pre-v3
+// graph containers are unsupported and fail to parse. Exits non-zero if
+// any file fails to parse or any checksum is bad.
 
 #include <cstdio>
 #include <string>
@@ -27,7 +27,7 @@ void PrintSummary(const std::string& path,
               s.spill ? "spill_version" : "version", s.version,
               static_cast<unsigned long long>(s.file_bytes),
               static_cast<unsigned long long>(s.fingerprint),
-              s.version == 1 ? "n/a" : (s.crc_ok ? "ok" : "BAD"));
+              s.crc_ok ? "ok" : "BAD");
   std::printf("  types (%zu):\n", s.types.size());
   for (const auto& [name, count] : s.types) {
     std::printf("    %-16s %lld nodes\n", name.c_str(),
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       continue;
     }
     PrintSummary(path, *summary);
-    if (summary->version > 1 && !summary->crc_ok) rc = 1;
+    if (!summary->crc_ok) rc = 1;
   }
   return rc;
 }
