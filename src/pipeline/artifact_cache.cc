@@ -95,6 +95,16 @@ obs::Gauge& BudgetGauge() {
   return g;
 }
 
+/// `dir` once it exists, or "" (no spill tier) when it cannot be made.
+std::string UsableSpillDir(std::string dir) {
+  if (dir.empty() || ::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) {
+    return dir;
+  }
+  FREEHGC_LOG(Warning) << "artifact spill disabled: mkdir(" << dir
+                       << "): " << std::strerror(errno);
+  return {};
+}
+
 std::string HexKeyPath(const std::string& dir, const char* prefix,
                        const std::tuple<uint64_t, uint64_t, int64_t>& key) {
   char buf[128];
@@ -142,36 +152,17 @@ uint64_t ConfigSignature(const hgnn::HgnnConfig& config) {
 
 ArtifactCache::~ArtifactCache() { Clear(); }
 
-Status ArtifactCache::ConfigureSpill(const SpillOptions& opts) {
-  if (opts.spill_dir.empty()) {
-    return Status::InvalidArgument("spill_dir must be non-empty");
-  }
-  if (::mkdir(opts.spill_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("mkdir(" + opts.spill_dir + "): " +
-                            std::string(std::strerror(errno)));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  spill_ = opts;
-  spill_enabled_ = true;
-  BudgetGauge().Set(
-      opts.resident_bytes_budget == SIZE_MAX
-          ? 0
-          : static_cast<int64_t>(opts.resident_bytes_budget));
-  return Status::OK();
+ArtifactCache::ArtifactCache(size_t resident_bytes_budget,
+                             std::string spill_dir)
+    : budget_(resident_bytes_budget),
+      spill_dir_(UsableSpillDir(std::move(spill_dir))) {
+  BudgetGauge().Set(budget_ == SIZE_MAX ? 0 : static_cast<int64_t>(budget_));
 }
 
-std::string ArtifactCache::AdjSpillPath(const AdjKey& key) const {
-  return HexKeyPath(spill_.spill_dir, "adj", key);
-}
-
-std::string ArtifactCache::PropSpillPath(const PropKey& key) const {
-  return HexKeyPath(spill_.spill_dir, "prop", key);
-}
-
-template <typename T, typename Key>
+template <typename T>
 std::shared_ptr<const T> ArtifactCache::FindOrClaim(
-    std::unique_lock<std::mutex>& lock, std::map<Key, Entry<T>>& tier,
-    const Key& key, std::string* spill_path) {
+    std::unique_lock<std::mutex>& lock, Tier<T>& tier, const Key& key,
+    std::string* spill_path) {
   for (;;) {
     // Re-find after every wait: a Clear() may have dropped the entry.
     Entry<T>& e = tier[key];
@@ -189,11 +180,10 @@ std::shared_ptr<const T> ArtifactCache::FindOrClaim(
   }
 }
 
-template <typename T, typename Key>
+template <typename T>
 std::shared_ptr<const T> ArtifactCache::Publish(
-    std::map<Key, Entry<T>>& tier, const Key& key,
-    std::shared_ptr<const T> value, bool restored,
-    const std::string& spool_path, uint64_t spool_bytes) {
+    Tier<T>& tier, const Key& key, std::shared_ptr<const T> value,
+    bool restored, const std::string& spool_path, uint64_t spool_bytes) {
   std::shared_ptr<const T> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -228,7 +218,7 @@ std::shared_ptr<const T> ArtifactCache::Publish(
 std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
     const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
     exec::ExecContext* ctx) {
-  const AdjKey key{g.ContentFingerprint(), PathSignature(p), max_row_nnz};
+  const Key key{g.ContentFingerprint(), PathSignature(p), max_row_nnz};
   std::string spilled_path;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -260,15 +250,13 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
     const HeteroGraph& g, const std::vector<MetaPath>& paths,
     int64_t max_row_nnz, exec::ExecContext* ctx, bool* built) {
   if (built != nullptr) *built = false;
-  const PropKey key{g.ContentFingerprint(), PathListSignature(paths),
-                    max_row_nnz};
+  const Key key{g.ContentFingerprint(), PathListSignature(paths),
+                max_row_nnz};
   std::string spilled_path;
-  bool stream;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto hit = FindOrClaim(lock, propagated_, key, &spilled_path);
     if (hit != nullptr) return hit;
-    stream = spill_enabled_ && spill_.resident_bytes_budget != SIZE_MAX;
   }
   if (!spilled_path.empty()) {
     auto restored = hgnn::MapPropagatedSpill(spilled_path);
@@ -287,11 +275,11 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
   std::shared_ptr<const hgnn::PropagatedFeatures> features;
   std::string path;
   uint64_t file_bytes = 0;
-  if (stream) {
+  if (!spill_dir_.empty() && budget_ != SIZE_MAX) {
     // Budgeted build: spool each block to disk as it is computed, then
     // map the file back — the whole block set never lives on the heap at
     // once, and the entry is born in its restored (view-backed) form.
-    path = PropSpillPath(key);
+    path = HexKeyPath(spill_dir_, "prop", key);
     auto write_and_map =
         [&]() -> Result<std::shared_ptr<const hgnn::PropagatedFeatures>> {
       FREEHGC_ASSIGN_OR_RETURN(hgnn::PropagatedSpillWriter w,
@@ -369,105 +357,100 @@ hgnn::EvalMetrics ArtifactCache::WholeGraphBaseline(
 std::vector<ArtifactCache::SpillJob> ArtifactCache::PlanEvictions() {
   // Lock held by caller. Victims: resident owned entries nobody has
   // pinned (use_count()==1 means the cache holds the only reference) and
-  // no spool write already in flight. Restored views carry ~0 owned
-  // bytes and are skipped by the owned_bytes > 0 test.
+  // no eviction already in flight. Restored views carry ~0 owned bytes
+  // and are skipped by the owned_bytes > 0 test.
   struct Candidate {
     uint64_t tick;
     bool is_adj;
-    AdjKey akey;
-    PropKey pkey;
+    Key key;
   };
   std::vector<Candidate> candidates;
-  for (const auto& [key, e] : adjacencies_) {
-    if (e.value != nullptr && e.owned_bytes > 0 && !e.spilling &&
-        e.value.use_count() == 1) {
-      candidates.push_back({e.tick, true, key, PropKey{}});
+  auto collect = [&](const auto& tier, bool is_adj) {
+    for (const auto& [key, e] : tier) {
+      if (e.value != nullptr && e.owned_bytes > 0 && !e.spilling &&
+          e.value.use_count() == 1) {
+        candidates.push_back({e.tick, is_adj, key});
+      }
     }
-  }
-  for (const auto& [key, e] : propagated_) {
-    if (e.value != nullptr && e.owned_bytes > 0 && !e.spilling &&
-        e.value.use_count() == 1) {
-      candidates.push_back({e.tick, false, AdjKey{}, key});
-    }
-  }
+  };
+  collect(adjacencies_, true);
+  collect(propagated_, false);
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.tick < b.tick;
             });
   std::vector<SpillJob> jobs;
   size_t projected = stats_.resident_bytes;
+  auto claim = [&](auto& tier, const Key& key, auto* value) {
+    auto& e = tier[key];
+    e.spilling = true;
+    *value = e.value;
+    projected -= e.owned_bytes;
+  };
   for (const Candidate& c : candidates) {
-    if (projected <= spill_.resident_bytes_budget) break;
+    if (projected <= budget_) break;
     SpillJob job;
-    job.is_adj = c.is_adj;
+    job.key = c.key;
     if (c.is_adj) {
-      AdjEntry& e = adjacencies_[c.akey];
-      e.spilling = true;
-      job.akey = c.akey;
-      job.adj = e.value;
-      job.path = e.spill_path.empty() ? AdjSpillPath(c.akey) : e.spill_path;
-      job.header_fp = KeyHash(c.akey);
-      job.owned_bytes = e.owned_bytes;
+      claim(adjacencies_, c.key, &job.adj);
     } else {
-      PropEntry& e = propagated_[c.pkey];
-      e.spilling = true;
-      job.pkey = c.pkey;
-      job.prop = e.value;
-      job.path = e.spill_path.empty() ? PropSpillPath(c.pkey) : e.spill_path;
-      job.header_fp = KeyHash(c.pkey);
-      job.owned_bytes = e.owned_bytes;
+      claim(propagated_, c.key, &job.prop);
     }
-    projected -= job.owned_bytes;
+    // The spool path is a function of the key, so a re-spill of an entry
+    // whose restore failed overwrites the bad file.
+    if (!spill_dir_.empty()) {
+      job.path = HexKeyPath(spill_dir_, c.is_adj ? "adj" : "prop", c.key);
+    }
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
+template <typename T>
+void ArtifactCache::CommitEviction(Tier<T>& tier, const Key& key,
+                                   const std::string& spill_path,
+                                   bool evicted) {
+  Entry<T>& e = tier[key];
+  e.spilling = false;
+  if (!evicted) return;
+  e.spill_path = spill_path;
+  e.value.reset();
+  stats_.resident_bytes -= e.owned_bytes;
+  stats_.bytes -= e.owned_bytes;
+  e.owned_bytes = 0;
+}
+
 void ArtifactCache::ExecuteEvictions(std::vector<SpillJob> jobs) {
   for (SpillJob& job : jobs) {
-    // An entry spilled earlier and re-restored already has a valid spool
-    // file; don't rewrite it (the content is immutable).
-    struct stat st{};
-    const bool have_file = ::stat(job.path.c_str(), &st) == 0;
-    Result<uint64_t> written =
-        have_file ? Result<uint64_t>(0)
-        : job.is_adj
-            ? section_io::WriteCsrSpill(*job.adj, job.path, job.header_fp)
-            : hgnn::WritePropagatedSpill(*job.prop, job.path, job.header_fp);
+    // Without a spill dir the victim is dropped: its next lookup is a
+    // miss that FindOrClaim's single flight rebuilds. Spool files are
+    // always rewritten (atomically), never trusted because they exist.
+    const uint64_t fp = KeyHash(job.key);
+    const Result<uint64_t> written =
+        job.path.empty() ? Result<uint64_t>(0)
+        : job.adj != nullptr
+            ? section_io::WriteCsrSpill(*job.adj, job.path, fp)
+            : hgnn::WritePropagatedSpill(*job.prop, job.path, fp);
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (job.is_adj) {
-      AdjEntry& e = adjacencies_[job.akey];
-      e.spilling = false;
-      if (written.ok()) {
-        e.spill_path = job.path;
-        e.value.reset();
-        stats_.resident_bytes -= e.owned_bytes;
-        stats_.bytes -= e.owned_bytes;
-        e.owned_bytes = 0;
-      }
+    if (job.adj != nullptr) {
+      CommitEviction(adjacencies_, job.key, job.path, written.ok());
     } else {
-      PropEntry& e = propagated_[job.pkey];
-      e.spilling = false;
-      if (written.ok()) {
-        e.spill_path = job.path;
-        e.value.reset();
-        stats_.resident_bytes -= e.owned_bytes;
-        stats_.bytes -= e.owned_bytes;
-        e.owned_bytes = 0;
-      }
+      CommitEviction(propagated_, job.key, job.path, written.ok());
     }
-    if (written.ok()) {
+    if (!written.ok()) {
+      FREEHGC_LOG(Warning) << "artifact spill failed (" << job.path
+                           << "): " << written.status().message()
+                           << "; keeping entry resident";
+      continue;
+    }
+    if (!job.path.empty()) {
       ++stats_.spills;
       stats_.spill_bytes += *written;
       SpillCounter().Increment();
       SpillBytesCounter().Add(static_cast<int64_t>(*written));
-      UpdateByteGauges();
-    } else {
-      FREEHGC_LOG(Warning) << "artifact spill failed (" << job.path
-                           << "): " << written.status().message()
-                           << "; keeping entry resident";
     }
+    UpdateByteGauges();
     // job.adj/job.prop (our pins) release outside the lock at loop end.
   }
 }
@@ -476,10 +459,7 @@ void ArtifactCache::TrimToBudget() {
   std::vector<SpillJob> jobs;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!spill_enabled_ ||
-        stats_.resident_bytes <= spill_.resident_bytes_budget) {
-      return;
-    }
+    if (stats_.resident_bytes <= budget_) return;
     jobs = PlanEvictions();
   }
   if (!jobs.empty()) ExecuteEvictions(std::move(jobs));

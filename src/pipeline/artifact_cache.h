@@ -35,28 +35,29 @@ namespace freehgc::pipeline {
 /// (tests/pipeline_test.cc) — and so are spilled-and-restored runs
 /// (tests/spill_test.cc).
 ///
-/// Tiers: by default (no ConfigureSpill) the cache is the classic
-/// grow-only heap memo — nothing is ever evicted. With ConfigureSpill it
-/// becomes two-tier: a *resident* tier of owned entries accounted by
-/// their heap bytes, and a *spill* tier of section spool files
-/// (graph/section_io.h) under `spill_dir`. When resident bytes exceed
-/// `resident_bytes_budget`, cold unpinned entries are written to spool
-/// files (LRU first) and their heap storage dropped; a later lookup
-/// restores them as zero-copy mapped views — bit-identical, and costing
-/// ~0 heap, so restored entries never need evicting again. Under a
-/// finite budget, propagated-feature misses are *streamed*: each block
-/// is spooled to disk as it is computed, so the whole PropagatedFeatures
-/// never materializes on the heap at once.
+/// Budget: the evictable tiers (adjacencies + propagated features) keep
+/// at most `resident_bytes_budget` heap bytes resident once their pins are
+/// released. Over budget, cold unpinned entries are evicted LRU first.
+/// Where a victim goes is the only thing `spill_dir` decides: with one,
+/// it is written to a section spool file (graph/section_io.h) there and a
+/// later lookup restores it as a zero-copy mapped view — bit-identical,
+/// and costing ~0 heap, so restored entries never need evicting again;
+/// without one, it is dropped and its next lookup is an ordinary miss that
+/// rebuilds it. With a spill dir and a finite budget, propagated-feature
+/// misses are *streamed*: each block is spooled to disk as it is computed,
+/// so the whole PropagatedFeatures never materializes on the heap at once.
+/// The default (unlimited budget, no spill dir) is a grow-only memo.
 ///
 /// Pinning: Composed/Propagated return shared_ptr pins. A pinned entry
-/// (use_count > 1) is never spilled; eviction considers it once every
+/// (use_count > 1) is never evicted; eviction considers it once every
 /// outside pin is released. Callers hold the pin across every use of the
 /// value and drop it when done (see metapath::AdjacencyCache).
 ///
 /// Single flight: concurrent misses on one Composed or Propagated key
 /// wait for the first caller's build (or restore) instead of repeating
-/// it, so each key misses once. Waits cannot cycle: adjacency builds
-/// never call the cache, and propagated builds wait only on adjacencies.
+/// it, so a key misses once until it is dropped. Waits cannot cycle:
+/// adjacency builds never call the cache, and propagated builds wait only
+/// on adjacencies.
 /// A build that throws keeps its claim; no caller in this library catches
 /// such an exception, so it ends the process before anyone could wait.
 ///
@@ -65,28 +66,17 @@ namespace freehgc::pipeline {
 /// the pipeline.cache.{bytes,resident_bytes,budget_bytes} gauges.
 class ArtifactCache final : public AdjacencyCache {
  public:
-  ArtifactCache() = default;
+  /// `resident_bytes_budget`: SIZE_MAX = unlimited. `spill_dir` is
+  /// created if missing; if that fails, the cache logs a warning and runs
+  /// without a spill tier.
+  explicit ArtifactCache(size_t resident_bytes_budget = SIZE_MAX,
+                         std::string spill_dir = {});
   ~ArtifactCache() override;
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
-  /// Tiering configuration. With a finite budget the cache spills; with
-  /// the default (SIZE_MAX) it never evicts but may still restore
-  /// entries spilled under an earlier, tighter budget.
-  struct SpillOptions {
-    /// Heap bytes the evictable tiers (adjacencies + propagated
-    /// features) may keep resident. SIZE_MAX = unlimited.
-    size_t resident_bytes_budget = SIZE_MAX;
-    /// Directory for spool files; created if missing. Must be non-empty.
-    std::string spill_dir;
-  };
-
-  /// Enables the spill tier. Call before concurrent use (configuration
-  /// is not synchronized against in-flight lookups).
-  Status ConfigureSpill(const SpillOptions& opts);
-
-  /// True once ConfigureSpill succeeded.
-  bool spill_enabled() const { return spill_enabled_; }
+  /// Where evicted entries are spooled; empty = they are dropped.
+  const std::string& spill_dir() const { return spill_dir_; }
 
   // AdjacencyCache:
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
@@ -96,8 +86,9 @@ class ArtifactCache final : public AdjacencyCache {
 
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz)
   /// (what hgnn::BuildEvalContext computes). The path compositions inside
-  /// a miss also route through this cache. Under a finite budget, a miss
-  /// streams blocks through a spool file instead of materializing them.
+  /// a miss also route through this cache. With a spill dir and a finite
+  /// budget, a miss streams blocks through a spool file instead of
+  /// materializing them.
   /// `built` (optional) reports whether this call computed the blocks.
   std::shared_ptr<const hgnn::PropagatedFeatures> Propagated(
       const HeteroGraph& g, const std::vector<MetaPath>& paths,
@@ -119,7 +110,7 @@ class ArtifactCache final : public AdjacencyCache {
                                        const hgnn::HgnnConfig& config,
                                        exec::ExecContext* ex);
 
-  /// Spills cold unpinned entries until the resident tier fits the
+  /// Evicts cold unpinned entries until the resident tier fits the
   /// budget. Runs automatically after inserts/restores; exposed so a
   /// caller can trim after releasing pins (inserts made while their
   /// entries were pinned could not evict them).
@@ -148,56 +139,51 @@ class ArtifactCache final : public AdjacencyCache {
   void Clear();
 
  private:
-  /// (graph fp, path signature, max_row_nnz).
-  using AdjKey = std::tuple<uint64_t, uint64_t, int64_t>;
-  /// (graph fp, path-list signature, max_row_nnz).
-  using PropKey = std::tuple<uint64_t, uint64_t, int64_t>;
+  /// (graph fp, path signature for an adjacency or path-list signature
+  /// for propagated features, max_row_nnz).
+  using Key = std::tuple<uint64_t, uint64_t, int64_t>;
   /// (graph fp, config signature).
   using BaselineKey = std::pair<uint64_t, uint64_t>;
 
   /// One evictable entry: resident (value set), spilled (value null,
-  /// spill_path set), or both during restore. `owned_bytes` is the heap
-  /// cost charged against the budget (0 for restored mapped views).
+  /// spill_path set), dropped (both empty), or both during restore.
+  /// `owned_bytes` is the heap cost charged against the budget (0 for
+  /// restored mapped views).
   template <typename T>
   struct Entry {
     std::shared_ptr<const T> value;
     std::string spill_path;
     size_t owned_bytes = 0;
     uint64_t tick = 0;    ///< LRU stamp (monotonic touch counter)
-    bool spilling = false;  ///< spool write in flight; skip re-planning
+    bool spilling = false;  ///< eviction in flight; skip re-planning
     bool filling = false;   ///< a caller is building/restoring the value
   };
-  using AdjEntry = Entry<CsrMatrix>;
-  using PropEntry = Entry<hgnn::PropagatedFeatures>;
+  template <typename T>
+  using Tier = std::map<Key, Entry<T>>;
 
-  /// A planned eviction: the value pointer is copied out under the lock
-  /// so the spool write can run without it.
+  /// A planned eviction of one entry of either tier (exactly one of
+  /// adj/prop is set): the value pointer is copied out under the lock so
+  /// the spool write and the final release run without it.
   struct SpillJob {
-    bool is_adj = false;
-    AdjKey akey{};
-    PropKey pkey{};
+    Key key{};
     std::shared_ptr<const CsrMatrix> adj;
     std::shared_ptr<const hgnn::PropagatedFeatures> prop;
-    std::string path;
-    uint64_t header_fp = 0;
-    size_t owned_bytes = 0;
+    std::string path;  ///< spool file; empty = drop the value
   };
 
   /// Single-flight lookup (mu_ held via `lock`): a resident value is a
   /// hit; otherwise the first caller claims the entry and gets null (and
   /// the spool file to restore from, if any, in `spill_path`) while later
   /// callers wait for the claimant's Publish.
-  template <typename T, typename Key>
+  template <typename T>
   std::shared_ptr<const T> FindOrClaim(std::unique_lock<std::mutex>& lock,
-                                       std::map<Key, Entry<T>>& tier,
-                                       const Key& key,
+                                       Tier<T>& tier, const Key& key,
                                        std::string* spill_path);
   /// Stores a claimed entry's value (a restore counts as a hit, a build
   /// as a miss; `spool_path` names a streamed build's spill copy), wakes
   /// the waiters and trims to budget.
-  template <typename T, typename Key>
-  std::shared_ptr<const T> Publish(std::map<Key, Entry<T>>& tier,
-                                   const Key& key,
+  template <typename T>
+  std::shared_ptr<const T> Publish(Tier<T>& tier, const Key& key,
                                    std::shared_ptr<const T> value,
                                    bool restored,
                                    const std::string& spool_path = {},
@@ -208,24 +194,26 @@ class ArtifactCache final : public AdjacencyCache {
   void UpdateByteGauges();
   void AddResident(size_t bytes);
 
-  std::string AdjSpillPath(const AdjKey& key) const;
-  std::string PropSpillPath(const PropKey& key) const;
-
   /// Collects LRU victims until the projected resident size fits the
   /// budget (lock held); marks them `spilling`.
   std::vector<SpillJob> PlanEvictions();
-  /// Writes the spool files (no lock) and commits the drops.
+  /// Writes the spool files, if any (no lock), and releases the values.
   void ExecuteEvictions(std::vector<SpillJob> jobs);
+  /// Marks a planned victim of `tier` settled (lock held); `evicted`
+  /// releases its value, leaving `spill_path` to restore it from.
+  template <typename T>
+  void CommitEviction(Tier<T>& tier, const Key& key,
+                      const std::string& spill_path, bool evicted);
 
   mutable std::mutex mu_;
   std::condition_variable filled_;  ///< signalled by every Publish
-  std::map<AdjKey, AdjEntry> adjacencies_;
-  std::map<PropKey, PropEntry> propagated_;
+  const size_t budget_;
+  const std::string spill_dir_;
+  Tier<CsrMatrix> adjacencies_;
+  Tier<hgnn::PropagatedFeatures> propagated_;
   std::map<BaselineKey, hgnn::EvalMetrics> baselines_;
   Stats stats_;
   uint64_t tick_ = 0;
-  bool spill_enabled_ = false;
-  SpillOptions spill_;
 };
 
 /// Order-sensitive 64-bit signature of a meta-path (relation id sequence).

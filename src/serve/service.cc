@@ -13,7 +13,9 @@
 namespace freehgc::serve {
 
 ServeService::ServeService(ServeOptions options)
-    : options_(std::move(options)), start_ns_(obs::NowNs()) {
+    : options_(std::move(options)),
+      cache_(options_.artifact_budget_bytes, options_.spill_dir),
+      start_ns_(obs::NowNs()) {
   if (!options_.access_log_path.empty()) {
     const Status st = access_log_.Open(options_.access_log_path);
     if (!st.ok()) {
@@ -22,18 +24,6 @@ ServeService::ServeService(ServeOptions options)
   }
   if (options_.store_resident_budget_bytes != SIZE_MAX) {
     store_.SetResidentBudget(options_.store_resident_budget_bytes);
-  }
-  if (!options_.spill_dir.empty()) {
-    pipeline::ArtifactCache::SpillOptions sp;
-    sp.resident_bytes_budget = options_.artifact_budget_bytes;
-    sp.spill_dir = options_.spill_dir;
-    const Status st = cache_.ConfigureSpill(sp);
-    if (!st.ok()) {
-      FREEHGC_LOG(Warning) << "artifact spill disabled: " << st.message();
-    }
-  } else if (options_.artifact_budget_bytes != SIZE_MAX) {
-    FREEHGC_LOG(Warning)
-        << "artifact budget ignored: no spill dir configured";
   }
   SchedulerOptions sched_opts;
   sched_opts.slots = options_.slots;
@@ -46,8 +36,8 @@ ServeService::ServeService(ServeOptions options)
       sched_opts,
       [this](const CondenseRequest& request, const RequestContext& rctx) {
         Result<CondenseReply> reply = Execute(request, rctx);
-        // Execute's pins are released now; spill anything its inserts
-        // could not evict, so the resident gauge is back under budget by
+        // Execute's pins are released now; evict anything its inserts
+        // could not, so the resident gauge is back under budget by
         // the time anyone scrapes it.
         cache_.TrimToBudget();
         return reply;
@@ -82,8 +72,7 @@ ServeService::ServeService(ServeOptions options)
   // would only deepen spill-tier thrashing.
   if (options_.budget_shed_factor > 0) {
     const double factor = options_.budget_shed_factor;
-    const size_t art_budget =
-        cache_.spill_enabled() ? options_.artifact_budget_bytes : SIZE_MAX;
+    const size_t art_budget = options_.artifact_budget_bytes;
     const size_t store_budget = options_.store_resident_budget_bytes;
     if (art_budget != SIZE_MAX || store_budget != SIZE_MAX) {
       scheduler_->set_admission_guard([this, factor, art_budget,

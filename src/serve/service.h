@@ -52,20 +52,24 @@ struct ServeOptions {
   /// stopping) so evaluated requests have bounded latency.
   hgnn::HgnnConfig eval;
   /// Heap bytes the ArtifactCache's evictable tiers may keep resident
-  /// (see ArtifactCache::SpillOptions). Takes effect only with a
-  /// spill_dir; SIZE_MAX = unlimited.
-  size_t artifact_budget_bytes = SIZE_MAX;
+  /// once requests release their pins; SIZE_MAX = unlimited. Over it,
+  /// cold entries spill to spill_dir, or are dropped without one. The
+  /// default is more than 5x the whole artifact set of a warm
+  /// freebase+dblp mix (perfbench serve_warm, 49.4 MB), yet below what an
+  /// upload-churning server accumulates (serve_churn, 287 MB and rising).
+  size_t artifact_budget_bytes = size_t{256} << 20;
   /// Bytes of mapped graphs the GraphStore may keep resident (see
   /// GraphStore::SetResidentBudget). SIZE_MAX = unlimited.
   size_t store_resident_budget_bytes = SIZE_MAX;
-  /// Directory for artifact spool files. Non-empty enables the
-  /// ArtifactCache spill tier (under a finite budget, EvalContext feature
-  /// blocks then stream through spool files).
+  /// Directory for artifact spool files. Non-empty makes the
+  /// ArtifactCache spill its evictions there instead of dropping them
+  /// (under a finite budget, EvalContext feature blocks then stream
+  /// through spool files).
   std::string spill_dir;
   /// Spill-aware admission: when > 0 and a budget is configured, new
   /// submissions are shed with kResourceExhausted while a budgeted tier
   /// sits past `factor ×` its budget — the ArtifactCache resident tier
-  /// (artifact_budget_bytes, spill enabled) or the GraphStore
+  /// (artifact_budget_bytes) or the GraphStore
   /// mapped-resident set (store_resident_budget_bytes). Shedding before
   /// the spill tier thrashes; counted in serve.shed.budget. 0 disables.
   double budget_shed_factor = 2.0;

@@ -125,6 +125,53 @@ TEST(ArtifactCacheTest, ComposedBudgetsAreDistinctAndFullyBudgeted) {
   EXPECT_EQ(*budgeted, ComposeAdjacency(g, *two_hop, 4));
 }
 
+// Without a spill dir a finite budget still bounds the cache: over-budget
+// LRU entries nobody pins are dropped, and their next lookup rebuilds them
+// bit-identically.
+TEST(ArtifactCacheTest, FiniteBudgetWithoutSpillDirDropsColdEntries) {
+  const HeteroGraph g = datasets::MakeToy(7);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  ASSERT_GE(paths.size(), 3u);
+
+  std::vector<CsrMatrix> want;
+  for (const auto& p : paths) want.push_back(ComposeAdjacency(g, p, 0));
+  ArtifactCache unbudgeted;
+  for (const auto& p : paths) unbudgeted.Composed(g, p, 0, nullptr);
+  const size_t budget = unbudgeted.stats().resident_bytes / 2;
+
+  ArtifactCache cache(budget);
+  EXPECT_TRUE(cache.spill_dir().empty());
+  const obs::Gauge& budget_gauge =
+      obs::MetricsRegistry::Global().GetGauge("pipeline.cache.budget_bytes");
+  for (const auto& p : paths) {
+    cache.Composed(g, p, 0, nullptr);  // the pin is released at once
+    cache.TrimToBudget();
+    EXPECT_LE(cache.stats().resident_bytes, budget);
+    EXPECT_EQ(budget_gauge.Value(), static_cast<int64_t>(budget));
+  }
+  EXPECT_EQ(cache.stats().spills, 0);
+  EXPECT_EQ(cache.stats().misses, static_cast<int64_t>(paths.size()));
+
+  // paths[0] is the LRU entry, so it was dropped: its next lookup is a
+  // miss whose rebuild equals the first build.
+  const ArtifactCache::Stats before = cache.stats();
+  EXPECT_EQ(*cache.Composed(g, paths[0], 0, nullptr), want[0]);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+
+  // A pinned entry survives the trim, even at budget 0.
+  ArtifactCache tight(0);
+  const auto pin = tight.Composed(g, paths[0], 0, nullptr);
+  tight.Composed(g, paths[1], 0, nullptr);
+  tight.TrimToBudget();
+  EXPECT_EQ(tight.stats().resident_bytes, pin->OwnedBytes());
+  EXPECT_EQ(tight.Composed(g, paths[0], 0, nullptr), pin);
+  EXPECT_EQ(tight.stats().hits, 1);
+  EXPECT_EQ(tight.stats().misses, 2);
+}
+
 TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
   const HeteroGraph g = datasets::MakeToy(7);
   hgnn::PropagateOptions popts;

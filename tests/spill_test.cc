@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -145,47 +146,50 @@ TEST(SpillServeTest, MappedCondensationIgnoresBudgetAndThreads) {
   request.max_paths = 4;
   request.return_graph = true;
 
-  // One serve-path run: returns the serialized condensed graph and the
-  // cache's resident peak.
+  // One serve-path run: returns the serialized condensed graph. An empty
+  // `spill_dir` drops evictions instead of spilling them.
   size_t unbudgeted_peak = 0;
-  auto run = [&](size_t budget, int threads, bool spill,
-                 const std::string& spill_dir) {
+  auto run = [&](size_t budget, int threads, const std::string& spill_dir) {
     serve::ServeOptions opts;
     opts.slots = 1;
     opts.queue_capacity = 8;
     opts.threads_per_slot = threads;
-    if (spill) {
-      opts.spill_dir = spill_dir;
-      opts.artifact_budget_bytes = budget;
-    }
+    opts.spill_dir = spill_dir;
+    opts.artifact_budget_bytes = budget;
     serve::ServeService service(opts);
     EXPECT_TRUE(service.store().RegisterMappedFile("g", graph_path).ok());
     auto reply = service.Condense(request);
     EXPECT_TRUE(reply.ok()) << reply.status().ToString();
     const auto stats = service.cache().stats();
-    if (!spill) unbudgeted_peak = stats.peak_resident_bytes;
-    if (spill && budget == 0) {
+    if (budget == SIZE_MAX) unbudgeted_peak = stats.peak_resident_bytes;
+    if (spill_dir.empty()) {
+      EXPECT_EQ(stats.spills, 0);
+    } else if (budget == 0) {
       EXPECT_GT(stats.spills, 0) << "budget 0 never spilled";
     }
+    EXPECT_LE(stats.resident_bytes, budget) << "spill_dir=" << spill_dir;
     std::string bytes = reply.ok() ? reply->graph_bytes : std::string();
     service.Shutdown();
     return bytes;
   };
 
-  const std::string want = run(0, 1, /*spill=*/false, "");
+  const std::string want = run(SIZE_MAX, 1, "");
   ASSERT_FALSE(want.empty());
   ASSERT_GT(unbudgeted_peak, 0u);
+  const size_t half_peak = unbudgeted_peak / 2;
 
   int variant = 0;
   for (const int threads : {1, 2, 4}) {
-    for (const size_t budget :
-         {size_t{0}, unbudgeted_peak / 2, size_t{SIZE_MAX}}) {
-      const std::string sdir =
-          ScratchDir("budget_v" + std::to_string(variant++));
-      EXPECT_EQ(run(budget, threads, /*spill=*/true, sdir), want)
-          << "budget=" << budget << " threads=" << threads
-          << " diverged from the unbudgeted single-thread result";
-      RemoveTree(sdir);
+    for (const size_t budget : {size_t{0}, half_peak, size_t{SIZE_MAX}}) {
+      for (const bool spill : {true, false}) {
+        const std::string sdir =
+            spill ? ScratchDir("budget_v" + std::to_string(variant++)) : "";
+        EXPECT_EQ(run(budget, threads, sdir), want)
+            << "budget=" << budget << " threads=" << threads
+            << " spill=" << spill
+            << " diverged from the unbudgeted single-thread result";
+        if (spill) RemoveTree(sdir);
+      }
     }
   }
   RemoveTree(dir);
@@ -195,8 +199,12 @@ TEST(SpillServeTest, MappedCondensationIgnoresBudgetAndThreads) {
 // Eviction racing pinned readers: readers hold pins and verify payloads
 // while another thread applies eviction pressure. No sleeps — the
 // interleaving comes from the loop density. Run under the sanitizer leg.
+// The parameter says whether victims spill to a spool dir or are dropped.
 
-TEST(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
+class SpillCacheTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
+  const bool spill = GetParam();
   const HeteroGraph g = datasets::MakeToy(9);
   exec::ExecContext ex(2);
   MetaPathOptions mp;
@@ -216,12 +224,11 @@ TEST(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
     want_sum.push_back(s);
   }
 
-  const std::string dir = ScratchDir("stress");
-  pipeline::ArtifactCache cache;
+  const std::string dir = spill ? ScratchDir("stress") : "";
   // Budget 0: every unpinned entry is evicted as soon as possible, so
-  // every lookup is a spill-or-restore and pins are what keep payloads
-  // alive under the readers.
-  ASSERT_TRUE(cache.ConfigureSpill({0, dir}).ok());
+  // every lookup is a restore or a rebuild and pins are what keep
+  // payloads alive under the readers.
+  pipeline::ArtifactCache cache(0, dir);
 
   constexpr int kIters = 60;
   std::atomic<int> failures{0};
@@ -254,8 +261,67 @@ TEST(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
   EXPECT_EQ(failures.load(), 0);
 
   const auto stats = cache.stats();
-  EXPECT_GT(stats.spills, 0) << "stress never exercised the spill tier";
-  EXPECT_GT(stats.restores, 0) << "stress never exercised restores";
+  if (spill) {
+    EXPECT_GT(stats.spills, 0) << "stress never exercised the spill tier";
+    EXPECT_GT(stats.restores, 0) << "stress never exercised restores";
+  } else {
+    EXPECT_EQ(stats.spills, 0);
+    EXPECT_GT(stats.misses, static_cast<int64_t>(paths.size()))
+        << "stress never rebuilt a dropped entry";
+  }
+  cache.Clear();
+  if (spill) RemoveTree(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, SpillCacheTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "SpillDir" : "Drop";
+                         });
+
+// A spool file whose restore fails is rewritten by the entry's next
+// eviction, so the lookup after that restores instead of recomputing.
+TEST(SpillRestoreTest, MappedRestoreFailureRespillsTheEntry) {
+  const HeteroGraph g = datasets::MakeToy(5);
+  exec::ExecContext ex(2);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 4;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  ASSERT_FALSE(paths.empty());
+  const CsrMatrix want = ComposeAdjacency(g, paths[0], 0, &ex);
+
+  const std::string dir = ScratchDir("corrupt");
+  pipeline::ArtifactCache cache(0, dir);
+  cache.Composed(g, paths[0], 0, &ex);
+  cache.TrimToBudget();
+  ASSERT_EQ(cache.stats().spills, 1);
+  std::vector<std::string> spools;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    spools.push_back(f.path().string());
+  }
+  ASSERT_EQ(spools.size(), 1u);
+  {
+    // Flip one byte of the first section, past the header page.
+    std::fstream f(spools[0], std::ios::in | std::ios::out |
+                                  std::ios::binary);
+    f.seekg(4096);
+    const char c = static_cast<char>(f.get() ^ 0x5a);
+    f.seekp(4096);
+    f.put(c);
+  }
+
+  // The restore fails, so the lookup recomputes.
+  const auto before = cache.stats();
+  EXPECT_EQ(*cache.Composed(g, paths[0], 0, &ex), want);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(cache.stats().restores, before.restores);
+
+  // The eviction rewrites the spool file, which then restores.
+  cache.TrimToBudget();
+  const auto respilled = cache.stats();
+  EXPECT_EQ(*cache.Composed(g, paths[0], 0, &ex), want);
+  EXPECT_EQ(cache.stats().restores, respilled.restores + 1);
+  EXPECT_EQ(cache.stats().misses, respilled.misses);
   cache.Clear();
   RemoveTree(dir);
 }

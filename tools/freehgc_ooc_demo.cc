@@ -190,8 +190,8 @@ int RunServe(const std::string& path, const std::string& method, double ratio,
   options.artifact_budget_bytes = budget.artifact_budget;
   options.store_resident_budget_bytes = budget.resident_budget;
   freehgc::serve::ServeService service(options);
-  std::printf("OOC spill_enabled=%d artifact_budget_bytes=%lld\n",
-              service.cache().spill_enabled() ? 1 : 0,
+  std::printf("OOC spill_dir=%s artifact_budget_bytes=%lld\n",
+              service.cache().spill_dir().c_str(),
               budget.artifact_budget == SIZE_MAX
                   ? -1LL
                   : static_cast<long long>(budget.artifact_budget));

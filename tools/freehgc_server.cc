@@ -34,10 +34,12 @@
 // server rehydrate its catalog without re-uploading, and let graphs far
 // larger than RAM be served out-of-core.
 //
-// --spill-dir enables the tiered ArtifactCache: composed adjacencies and
-// propagated feature blocks spill to section spool files there when the
-// resident tier exceeds --artifact-budget (bytes; accepts K/M/G
-// suffixes), and restore as zero-copy mapped views. --resident-budget
+// --artifact-budget (bytes; accepts K/M/G suffixes; default 256M) bounds
+// the ArtifactCache's resident composed adjacencies and propagated
+// feature blocks: cold entries beyond it are evicted LRU first. With
+// --spill-dir they spill to section spool files there and restore as
+// zero-copy mapped views; without it they are dropped and rebuilt on
+// their next use. --resident-budget
 // caps the bytes of mapped graphs the GraphStore keeps resident (LRU
 // eviction + transparent re-map). At startup, the spool and spill
 // directories are swept for orphans: spill/tmp files from dead processes
